@@ -69,14 +69,101 @@ fn load(inputs: &[Vec<u8>], budget: u64) -> Process {
     p
 }
 
-/// Observable machine state compared between the restored machine and
-/// its never-deviated twin.
-fn machine_state(
-    m: &fisec_x86::Machine,
-    probe_addrs: &[u32],
-) -> (fisec_x86::Cpu, u64, Vec<Option<u8>>) {
-    let bytes = probe_addrs.iter().map(|a| m.mem.peek8(*a).ok()).collect();
-    (m.cpu.clone(), m.icount, bytes)
+/// First difference between two machines' observable state — registers,
+/// icount, executable generation, and every byte of every region — or
+/// `None` when they are identical.
+fn state_diff(a: &fisec_x86::Machine, b: &fisec_x86::Machine) -> Option<String> {
+    if a.cpu != b.cpu || a.icount != b.icount || a.mem.exec_gen() != b.mem.exec_gen() {
+        return Some(format!(
+            "cpu/icount/exec_gen: {:?} {} {} vs {:?} {} {}",
+            a.cpu,
+            a.icount,
+            a.mem.exec_gen(),
+            b.cpu,
+            b.icount,
+            b.mem.exec_gen()
+        ));
+    }
+    let (ra, rb): (Vec<_>, Vec<_>) = (a.mem.regions().collect(), b.mem.regions().collect());
+    if ra.len() != rb.len() {
+        return Some(format!("{} regions vs {}", ra.len(), rb.len()));
+    }
+    for (x, y) in ra.iter().zip(&rb) {
+        if (x.start(), x.len()) != (y.start(), y.len()) {
+            return Some(format!("region {} layout differs", x.name()));
+        }
+        if x.bytes() == y.bytes() {
+            continue;
+        }
+        if let Some(i) = (0..x.bytes().len()).find(|&i| x.bytes()[i] != y.bytes()[i]) {
+            return Some(format!(
+                "byte {:#x}: {:#04x} vs {:#04x}",
+                x.start() + i as u32,
+                x.bytes()[i],
+                y.bytes()[i]
+            ));
+        }
+    }
+    None
+}
+
+/// One deviation step: `(kind, where, value)`.
+type Deviation = (u8, u32, u32);
+
+fn deviation_strategy() -> impl Strategy<Value = Vec<Deviation>> {
+    proptest::collection::vec((0u8..7, any::<u32>(), any::<u32>()), 0..12)
+}
+
+/// Drive the machine away from its snapshot: extra steps, text and
+/// stack pokes, and 32-bit and bulk writes into data and stack —
+/// including writes that straddle a 4 KiB page boundary of the stack and
+/// writes that run off the end of the data region (partial write, then
+/// fault).
+fn deviate(m: &mut fisec_x86::Machine, deviation: &[Deviation]) {
+    let img = image();
+    let stack_base = fisec_os::STACK_TOP - fisec_os::STACK_SIZE;
+    let data_len = img.data.len().max(1) as u32;
+    for &(kind, at, val) in deviation {
+        match kind {
+            0 => {
+                for _ in 0..(at % 64) {
+                    let _ = m.step();
+                }
+            }
+            1 => {
+                let addr = img.text_base + (at % img.text.len() as u32);
+                let _ = m.mem.poke8(addr, val as u8);
+            }
+            2 => {
+                let addr = fisec_os::STACK_TOP - 1 - (at % 4096);
+                let _ = m.mem.poke8(addr, val as u8);
+            }
+            3 => {
+                // Straddle a page boundary: 1-3 bytes below it.
+                let page = stack_base + 0x1000 * (1 + at % (fisec_os::STACK_SIZE / 0x1000 - 1));
+                let _ = m.mem.write32(page - 1 - (val % 3), val);
+            }
+            4 => {
+                let addr = stack_base + at % fisec_os::STACK_SIZE;
+                let _ = m.mem.write32(addr, val);
+            }
+            5 => {
+                let addr = img.data_base + at % data_len;
+                let _ = m.mem.write32(addr, val);
+            }
+            _ => {
+                let addr = if at % 2 == 0 {
+                    img.data_base + at % data_len
+                } else {
+                    stack_base + 0x1000 - 8 + at % 16
+                };
+                let len = 1 + (val % 24) as usize;
+                let _ = m
+                    .mem
+                    .write_bytes(addr, &val.to_le_bytes().repeat(len.div_ceil(4))[..len]);
+            }
+        }
+    }
 }
 
 fn lines_strategy() -> impl Strategy<Value = Vec<Vec<u8>>> {
@@ -92,14 +179,18 @@ fn lines_strategy() -> impl Strategy<Value = Vec<Vec<u8>>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Machine level: snapshot → arbitrary steps and pokes → restore
-    /// leaves every observable identical to a twin that never deviated,
-    /// including the next stretch of execution.
+    /// Machine level: snapshot → arbitrary steps, pokes and writes →
+    /// restore leaves every observable identical to a twin that never
+    /// deviated, including the next stretch of execution. Several rounds
+    /// rewind to the same snapshot, so all but the first copy back only
+    /// dirty pages; a second snapshot of the same lineage in between
+    /// forces the full-copy fallback on the way to it and back.
     #[test]
     fn restore_rewinds_machine_exactly(
         lines in lines_strategy(),
         pre_steps in 0u64..600,
-        deviation in proptest::collection::vec((0u8..3, 0u32..256, proptest::prelude::any::<u8>()), 0..12),
+        rounds in proptest::collection::vec(deviation_strategy(), 1..4),
+        second in deviation_strategy(),
         post_steps in 1u64..200,
     ) {
         let mut p = load(&lines, 100_000);
@@ -109,34 +200,25 @@ proptest! {
         let snap = p.machine.snapshot();
         let twin = p.machine.clone();
 
-        // Deviate: extra steps and pokes into text and stack bytes.
-        let img = image();
-        for (kind, off, val) in &deviation {
-            match kind {
-                0 => {
-                    for _ in 0..(*off % 64) {
-                        let _ = p.machine.step();
-                    }
-                }
-                1 => {
-                    let addr = img.text_base + (*off % img.text.len() as u32);
-                    let _ = p.machine.mem.poke8(addr, *val);
-                }
-                _ => {
-                    let addr = fisec_os::STACK_TOP - 1 - (*off % 4096);
-                    let _ = p.machine.mem.poke8(addr, *val);
-                }
-            }
+        for deviation in &rounds {
+            deviate(&mut p.machine, deviation);
+            p.machine.restore(&snap);
+            let diff = state_diff(&p.machine, &twin);
+            prop_assert!(diff.is_none(), "after a rewind to the first snapshot: {:?}", diff);
         }
-        p.machine.restore(&snap);
 
-        // Probe text, stack and an unmapped hole.
-        let probes: Vec<u32> = (0..32)
-            .map(|i| img.text_base + i * 7)
-            .chain((0..16).map(|i| fisec_os::STACK_TOP - 1 - i * 13))
-            .chain([0x10u32])
-            .collect();
-        prop_assert_eq!(machine_state(&p.machine, &probes), machine_state(&twin, &probes));
+        deviate(&mut p.machine, &second);
+        let snap2 = p.machine.snapshot();
+        let twin2 = p.machine.clone();
+        deviate(&mut p.machine, &rounds[0]);
+        p.machine.restore(&snap2);
+        let diff = state_diff(&p.machine, &twin2);
+        prop_assert!(diff.is_none(), "after a rewind to the second snapshot: {:?}", diff);
+        // Straight back: no page is dirty, yet the bytes `second` wrote
+        // must go, so this rewind has to copy everything.
+        p.machine.restore(&snap);
+        let diff = state_diff(&p.machine, &twin);
+        prop_assert!(diff.is_none(), "after a rewind back to the first snapshot: {:?}", diff);
 
         // Subsequent execution must be step-for-step identical.
         let mut twin = twin;
@@ -288,24 +370,27 @@ fn group_replay_retains_trace_cache() {
     }
 }
 
-/// Deterministic (non-property) check that restore clears decode state:
-/// corrupt an executed instruction's bytes after the snapshot, run a
-/// little (so the corrupted decode lands in the icache), restore, and
-/// verify execution proceeds with the pristine decode.
+/// Deterministic (non-property) check that no stale decode survives a
+/// restore, in the block engine and in the step engine: corrupt an
+/// executed instruction's bytes after the snapshot, run a little (so the
+/// block engine caches a block decoded from the corrupted bytes),
+/// restore, and verify execution proceeds with the pristine decode.
 #[test]
 fn restore_discards_stale_decodes() {
     let img = image();
-    let mut p = load(&[], 100_000);
-    let snap = p.snapshot();
     let entry = img.func("_start").expect("entry").start;
-    // Corrupt the first instruction into something else and execute it.
-    let orig = p.machine.mem.peek8(entry).unwrap();
-    p.machine.mem.poke8(entry, orig ^ 0x01).unwrap();
-    let _ = p.machine.step();
-    p.restore(&snap);
-    assert_eq!(p.machine.mem.peek8(entry).unwrap(), orig);
-    let stop = p.run();
-    // The pristine program deadlocks waiting for a client (no inputs)
-    // after its banner write — it must not fault.
-    assert_eq!(stop, Stop::Deadlock);
+    for block_engine in [true, false] {
+        let mut p = load(&[], 100_000);
+        p.machine.set_block_engine(block_engine);
+        let snap = p.snapshot();
+        // Corrupt the first instruction into something else and execute it.
+        let orig = p.machine.mem.peek8(entry).unwrap();
+        p.machine.mem.poke8(entry, orig ^ 0x01).unwrap();
+        let _ = p.machine.run_until_event(1);
+        p.restore(&snap);
+        assert_eq!(p.machine.mem.peek8(entry).unwrap(), orig);
+        // The pristine program deadlocks waiting for a client (no inputs)
+        // after its banner write — it must not fault.
+        assert_eq!(p.run(), Stop::Deadlock, "block engine: {block_engine}");
+    }
 }

@@ -23,9 +23,8 @@ use crate::cpu::{handler_of, Handler};
 use crate::inst::{Cond, Inst, MemOperand, Op, OpSize, Operand, Reg8};
 use std::sync::Arc;
 
-/// Number of sets in the block cache (power of two); same index scheme
-/// as the decoded-instruction cache. Conflicts only cost a rebuild,
-/// never correctness.
+/// Number of sets in the block cache (power of two), indexed by a hash
+/// of the entry EIP. Conflicts only cost a rebuild, never correctness.
 const CACHE_SETS: usize = 4096;
 
 /// Associativity: each set holds this many blocks with one LRU bit, so

@@ -125,15 +125,6 @@ pub enum RunOutcome {
     Budget,
 }
 
-/// Size of the decoded-instruction cache (direct-mapped, power of two).
-const ICACHE_SIZE: usize = 4096;
-
-#[derive(Debug, Clone, Copy)]
-struct ICacheEntry {
-    addr: u32,
-    inst: Inst,
-}
-
 /// Retired-EIP coverage recorder: a dense bitmap — one bit per byte
 /// address — spanning the executable regions, plus a spill set for EIPs
 /// executed anywhere else (reachable only through rwx data regions or
@@ -352,8 +343,6 @@ pub struct Machine {
     pub icount: u64,
     /// Armed breakpoint addresses, kept sorted for binary search.
     breakpoints: Vec<u32>,
-    icache: Vec<ICacheEntry>,
-    icache_gen: u64,
     /// Basic-block cache (see [`crate::block`]) and the executable
     /// generation its contents were last synchronized against.
     blocks: BlockCache,
@@ -396,13 +385,13 @@ pub struct Machine {
 /// Architectural state captured by [`Machine::snapshot`].
 ///
 /// Holds everything needed to rewind a machine to an earlier point of
-/// the same execution: registers, the full address space, the retired
-/// instruction count, armed breakpoints, the EIP trace ring, and the
-/// coverage set when enabled. The decoded caches (instructions and
-/// basic blocks) are *not* part of the snapshot — they are pure
-/// performance artifacts; [`Machine::restore`] uses the executable-write
-/// journal to drop exactly the entries covering bytes that changed
-/// since the snapshot was taken.
+/// the same execution: registers, a copy of the address space, the
+/// retired instruction count, armed breakpoints, the EIP trace ring, and
+/// the coverage set when enabled. The decoded caches (basic blocks and
+/// traces) are *not* part of the snapshot — they are pure performance
+/// artifacts; [`Machine::restore`] uses the executable-write journal to
+/// drop exactly the entries covering bytes that changed since the
+/// snapshot was taken.
 #[derive(Debug, Clone)]
 pub struct MachineSnapshot {
     cpu: Cpu,
@@ -415,8 +404,6 @@ pub struct MachineSnapshot {
     coverage: Option<Coverage>,
 }
 
-const ICACHE_EMPTY: u32 = u32::MAX; // _start never sits at 0xFFFFFFFF
-
 impl Machine {
     /// New machine over the given memory, with a zeroed CPU.
     pub fn new(mem: Memory) -> Machine {
@@ -425,8 +412,6 @@ impl Machine {
             mem,
             icount: 0,
             breakpoints: Vec::new(),
-            icache: Vec::new(),
-            icache_gen: 0,
             blocks: BlockCache::default(),
             blocks_gen: 0,
             block_engine: true,
@@ -464,13 +449,16 @@ impl Machine {
 
     /// Rewind to a previously captured snapshot of *this* execution.
     ///
+    /// Memory is rewound by `Memory::restore_from`: when the previous
+    /// restore used the same snapshot (the common case: checkpoint, poke
+    /// one byte, run, restore, repeat), only the pages written since are
+    /// copied back; otherwise the whole address space is.
+    ///
     /// The decoded caches survive the rewind wherever the executable-
     /// write journal can prove they are still exact. When the snapshot
-    /// is an ancestor of the current state (the common case: checkpoint,
-    /// poke one byte, run, restore, repeat), the journal names every
-    /// byte written since it — only blocks covering those bytes are
-    /// dropped, and the instruction cache is cleared only when at least
-    /// one such byte exists. A snapshot from an unrelated lineage drops
+    /// is an ancestor of the current state, the journal names every
+    /// byte written since it, and only blocks and traces covering those
+    /// bytes are dropped. A snapshot from an unrelated lineage drops
     /// everything. The decoder function itself is not snapshot state and
     /// is left untouched.
     pub fn restore(&mut self, snap: &MachineSnapshot) {
@@ -484,14 +472,12 @@ impl Machine {
             if !dirty.is_empty() {
                 self.blocks.invalidate_writes(dirty);
                 self.traces.invalidate_writes(dirty);
-                self.icache.clear();
             }
         } else {
             // Restoring across lineages (or forward past unseen writes):
             // the byte diff cannot be attributed, drop everything.
             self.blocks.clear();
             self.traces.clear();
-            self.icache.clear();
         }
         self.blocks_gen = snap_gen;
         // A recording in progress would stitch pre-rewind blocks onto
@@ -501,7 +487,7 @@ impl Machine {
         self.trace_rec = None;
         self.hist = 0;
         self.cpu = snap.cpu.clone();
-        self.mem = snap.mem.clone();
+        self.mem.restore_from(&snap.mem);
         self.icount = snap.icount;
         self.breakpoints = snap.breakpoints.clone();
         self.trace_buf = snap.trace_buf.clone();
@@ -571,11 +557,10 @@ impl Machine {
 
     /// Replace the instruction decoder — e.g. with a decoder for the
     /// paper's re-encoded instruction set, turning this machine into the
-    /// "hypothetical processor" of §6.2. Clears the decoded-instruction
-    /// and basic-block caches.
+    /// "hypothetical processor" of §6.2. Clears the block and trace
+    /// caches.
     pub fn set_decoder(&mut self, decoder: fn(&[u8]) -> Inst) {
         self.decoder = decoder;
-        self.icache.clear();
         self.blocks.clear();
         self.traces.clear();
         self.trace_rec = None;
@@ -1408,30 +1393,11 @@ impl Machine {
         }
     }
 
-    /// Fetch+decode with a direct-mapped cache keyed on EIP, invalidated
-    /// whenever executable bytes change (the injector's pokes).
-    fn fetch_decode(&mut self, eip: u32) -> Result<Inst, Fault> {
-        let gen = self.mem.exec_gen();
-        if self.icache_gen != gen || self.icache.is_empty() {
-            self.icache.clear();
-            self.icache.resize(
-                ICACHE_SIZE,
-                ICacheEntry {
-                    addr: ICACHE_EMPTY,
-                    inst: Inst::new(crate::inst::Op::Nop),
-                },
-            );
-            self.icache_gen = gen;
-        }
-        let slot = (eip as usize ^ (eip as usize >> 12)) & (ICACHE_SIZE - 1);
-        let e = &self.icache[slot];
-        if e.addr == eip {
-            return Ok(e.inst);
-        }
+    /// Fetch and decode the instruction at `eip` from the current bytes.
+    /// Uncached: the block and trace caches are the decode caches.
+    fn fetch_decode(&self, eip: u32) -> Result<Inst, Fault> {
         let (window, n) = self.mem.fetch_window(eip)?;
-        let inst = (self.decoder)(&window[..n]);
-        self.icache[slot] = ICacheEntry { addr: eip, inst };
-        Ok(inst)
+        Ok((self.decoder)(&window[..n]))
     }
 
     /// Effective address of a memory operand.

@@ -11,7 +11,7 @@
 //!   single-bit errors produce arbitrary bytes;
 //! * an **encoder** for the subset emitted by the assembler/compiler, with
 //!   the property `decode(encode(i)) == i`;
-//! * a flat 32-bit **paged memory** model with per-region permissions, so
+//! * a flat 32-bit **memory** model with per-region permissions, so
 //!   wild stores and wild branches fault exactly as they would under Linux
 //!   (`SIGSEGV`-like faults);
 //! * an interpreter [`Machine`] with precise instruction counting (needed for

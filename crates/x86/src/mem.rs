@@ -4,10 +4,26 @@
 //! stack, ...). Any access outside a region, or violating a region's
 //! permissions, raises a [`Fault`] — the analogue of `SIGSEGV` that produces
 //! the paper's *system detection* (crash) outcomes.
+//!
+//! Each region's bytes are one flat `Vec<u8>`, so a guest access is a
+//! region lookup and an index. Writes also set a bit per 4 KiB page in
+//! the region's dirty bitmap, so a snapshot restore rewinds a
+//! checkpoint replay by copying back only the pages it wrote.
 
 use crate::inst::Fault;
 use std::fmt;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+
+/// Dirty-tracking granularity: a region is tracked in 4 KiB pages,
+/// numbered from the region's start.
+const PAGE_SHIFT: u32 = 12;
+
+/// Source of [`Memory`] epochs; 0 is reserved for "never restored".
+static NEXT_EPOCH: AtomicU64 = AtomicU64::new(1);
+
+fn fresh_epoch() -> u64 {
+    NEXT_EPOCH.fetch_add(1, Ordering::Relaxed)
+}
 
 /// Region permissions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -66,6 +82,10 @@ pub struct Region {
     start: u32,
     data: Vec<u8>,
     perms: Perms,
+    /// One bit per 4 KiB page (the last may be partial): set when the
+    /// page was written since the owning [`Memory`] last took a new
+    /// epoch. [`Memory::restore_from`] copies only these pages back.
+    dirty: Vec<u64>,
 }
 
 impl Region {
@@ -89,11 +109,13 @@ impl Region {
             (start as u64) + (data.len() as u64) <= (u32::MAX as u64) + 1,
             "region {name} wraps the address space"
         );
+        let pages = data.len().div_ceil(1 << PAGE_SHIFT);
         Region {
             name: name.to_string(),
             start,
             data,
             perms,
+            dirty: vec![0; pages.div_ceil(64)],
         }
     }
 
@@ -138,10 +160,36 @@ impl Region {
     fn contains(&self, addr: u32) -> bool {
         (addr as u64) >= (self.start as u64) && (addr as u64) < self.end()
     }
+
+    /// Mark the page holding byte offset `off` as written.
+    #[inline]
+    fn mark_dirty(&mut self, off: usize) {
+        let page = off >> PAGE_SHIFT;
+        self.dirty[page / 64] |= 1u64 << (page % 64);
+    }
+
+    fn is_clean(&self) -> bool {
+        self.dirty.iter().all(|&w| w == 0)
+    }
+
+    /// Copy every dirty page back from `src` (same start and length)
+    /// and clear the dirty bits.
+    fn copy_dirty_from(&mut self, src: &Region) {
+        for (w, word) in self.dirty.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let page = w * 64 + bits.trailing_zeros() as usize;
+                let lo = page << PAGE_SHIFT;
+                let hi = (lo + (1 << PAGE_SHIFT)).min(self.data.len());
+                self.data[lo..hi].copy_from_slice(&src.data[lo..hi]);
+                bits &= bits - 1;
+            }
+        }
+    }
 }
 
 /// The process address space: a sorted set of disjoint regions.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Memory {
     regions: Vec<Region>,
     /// Index of the most recently resolved region — a pure performance
@@ -151,8 +199,8 @@ pub struct Memory {
     /// Relaxed atomic so `&self` lookups can refresh it.
     hint: AtomicU32,
     /// Bumped whenever executable bytes may have changed (injector pokes,
-    /// writes into rwx regions); lets the CPU invalidate its decoded-
-    /// instruction cache.
+    /// writes into rwx regions); lets the CPU invalidate its decoded
+    /// blocks and traces.
     exec_gen: u64,
     /// Journal of the addresses behind each generation bump: entry `k` is
     /// the write that moved `exec_gen` from `k` to `k + 1` (invariant:
@@ -161,6 +209,17 @@ pub struct Memory {
     /// cache, and lets snapshot restore prove lineage (see
     /// [`Memory::exec_log_extends`]).
     exec_log: Vec<u32>,
+    /// Identity of this memory's contents as a restore source. Fresh on
+    /// creation, on every clone, on [`Memory::map`] and on every
+    /// [`Memory::restore_from`]; between two of those events the bytes
+    /// change only through writes that set region dirty bits. So a memory
+    /// with no dirty bits still holds exactly what it held when it took
+    /// its epoch.
+    epoch: u64,
+    /// Epoch of the memory this one was last rewound to by
+    /// [`Memory::restore_from`] (0: none since its own epoch began). While
+    /// it matches, this memory equals that source except in dirty pages.
+    restored_from: u64,
 }
 
 /// Error mapping a region.
@@ -184,13 +243,34 @@ impl fmt::Display for MapError {
 
 impl std::error::Error for MapError {}
 
+impl Default for Memory {
+    fn default() -> Memory {
+        Memory {
+            regions: Vec::new(),
+            hint: AtomicU32::new(0),
+            exec_gen: 0,
+            exec_log: Vec::new(),
+            epoch: fresh_epoch(),
+            restored_from: 0,
+        }
+    }
+}
+
+/// A clone is a new restore source: it takes a fresh epoch and starts
+/// with no dirty pages.
 impl Clone for Memory {
     fn clone(&self) -> Memory {
+        let mut regions = self.regions.clone();
+        for r in &mut regions {
+            r.dirty.fill(0);
+        }
         Memory {
-            regions: self.regions.clone(),
+            regions,
             hint: AtomicU32::new(self.hint.load(Ordering::Relaxed)),
             exec_gen: self.exec_gen,
             exec_log: self.exec_log.clone(),
+            epoch: fresh_epoch(),
+            restored_from: 0,
         }
     }
 }
@@ -199,6 +279,28 @@ impl Memory {
     /// An empty address space.
     pub fn new() -> Memory {
         Memory::default()
+    }
+
+    /// Rewind to `snap`'s contents: bytes, executable generation and
+    /// write journal. When this memory was last rewound to `snap` itself
+    /// and `snap` is unchanged since (same epoch, so the same region
+    /// layout, and no dirty pages), only the pages written since that
+    /// rewind are copied; otherwise every region is copied.
+    pub(crate) fn restore_from(&mut self, snap: &Memory) {
+        if self.restored_from == snap.epoch && snap.regions.iter().all(Region::is_clean) {
+            for (r, src) in self.regions.iter_mut().zip(&snap.regions) {
+                r.copy_dirty_from(src);
+            }
+        } else {
+            self.regions.clone_from(&snap.regions);
+            for r in &mut self.regions {
+                r.dirty.fill(0);
+            }
+        }
+        self.exec_gen = snap.exec_gen;
+        self.exec_log.clone_from(&snap.exec_log);
+        self.epoch = fresh_epoch();
+        self.restored_from = snap.epoch;
     }
 
     /// Map a region.
@@ -217,6 +319,9 @@ impl Memory {
         }
         self.regions.push(region);
         self.regions.sort_by_key(|r| r.start);
+        // New bytes without dirty bits: this is a new restore source.
+        self.epoch = fresh_epoch();
+        self.restored_from = 0;
         Ok(())
     }
 
@@ -360,6 +465,7 @@ impl Memory {
         let exec = r.perms.exec;
         let off = (addr - r.start) as usize;
         r.data[off] = val;
+        r.mark_dirty(off);
         if exec {
             self.note_exec_write(addr);
         }
@@ -395,9 +501,11 @@ impl Memory {
     /// Store `bytes` when they all fall inside a single writable region
     /// (one region lookup instead of one per byte). Returns false — having
     /// written nothing — when they don't, sending the caller to the
-    /// byte-wise path for the partial-write-then-fault semantics.
+    /// byte-wise path for the partial-write-then-fault semantics. At most
+    /// 4 bytes, so marking both end pages dirty covers every page touched.
     #[inline]
     fn write_slice(&mut self, addr: u32, bytes: &[u8]) -> bool {
+        assert!(bytes.len() <= 4);
         let Some(i) = self.region_index(addr) else {
             return false;
         };
@@ -410,6 +518,8 @@ impl Memory {
             return false;
         };
         dst.copy_from_slice(bytes);
+        r.mark_dirty(off);
+        r.mark_dirty(off + bytes.len() - 1);
         if r.perms.exec {
             // Same per-byte generation accounting as the byte-wise path.
             for k in 0..bytes.len() as u32 {
@@ -508,6 +618,7 @@ impl Memory {
             .ok_or(Fault::MemAccess { addr, write: true })?;
         let off = (addr - r.start) as usize;
         r.data[off] = val;
+        r.mark_dirty(off);
         self.note_exec_write(addr);
         Ok(())
     }
@@ -704,5 +815,109 @@ mod tests {
         m.map(Region::zeroed("more", 0x2020, 4, Perms::RW)).unwrap();
         m.write8(0x2021, 0xAB).unwrap();
         assert_eq!(m.read32(0x201E).unwrap(), 0xAB00_FFFF);
+    }
+
+    /// Every byte of every region, in address order.
+    fn contents(m: &Memory) -> Vec<(u32, Vec<u8>)> {
+        m.regions()
+            .map(|r| (r.start(), r.bytes().to_vec()))
+            .collect()
+    }
+
+    fn dirty_pages(m: &Memory, addr: u32) -> Vec<u64> {
+        m.region_at(addr).unwrap().dirty.clone()
+    }
+
+    /// A memory rewound once to a snapshot, so its next rewind to that
+    /// snapshot copies only dirty pages.
+    fn rewound(m: &mut Memory, snap: &Memory) {
+        m.restore_from(snap);
+        assert_eq!(m.restored_from, snap.epoch);
+    }
+
+    #[test]
+    fn straddling_write_is_undone_on_both_pages() {
+        let mut m = Memory::new();
+        m.map(Region::zeroed("data", 0x10000, 0x3000, Perms::RW))
+            .unwrap();
+        m.write32(0x10800, 0x1111_1111).unwrap();
+        let snap = m.clone();
+        rewound(&mut m, &snap);
+        m.write32(0x10FFE, 0xAABB_CCDD).unwrap();
+        assert_eq!(dirty_pages(&m, 0x10000), vec![0b011]);
+        m.restore_from(&snap);
+        assert_eq!(m.read32(0x10FFE).unwrap(), 0);
+        assert_eq!(m.read32(0x10800).unwrap(), 0x1111_1111);
+        assert_eq!(dirty_pages(&m, 0x10000), vec![0]);
+        assert_eq!(contents(&m), contents(&snap));
+    }
+
+    #[test]
+    fn partial_last_page_restores() {
+        let mut m = Memory::new();
+        m.map(Region::zeroed("data", 0x10000, 0x1000 + 5, Perms::RW))
+            .unwrap();
+        let snap = m.clone();
+        rewound(&mut m, &snap);
+        m.write8(0x11004, 0xEE).unwrap();
+        m.write16(0x11002, 0xBEEF).unwrap();
+        assert_eq!(dirty_pages(&m, 0x10000), vec![0b10]);
+        m.restore_from(&snap);
+        assert_eq!(contents(&m), contents(&snap));
+    }
+
+    #[test]
+    fn faulting_write_leaves_written_bytes_dirty() {
+        let mut m = Memory::new();
+        // Two pages, the second only 2 bytes long.
+        m.map(Region::zeroed("data", 0x2000, 0x1002, Perms::RW))
+            .unwrap();
+        let snap = m.clone();
+        rewound(&mut m, &snap);
+        // 0x2FFF..=0x3001 land on both pages, then 0x3002 faults.
+        assert!(m.write32(0x2FFF, 0xFFFF_FFFF).is_err());
+        assert_eq!(m.read8(0x3001).unwrap(), 0xFF);
+        assert_eq!(dirty_pages(&m, 0x2000), vec![0b11]);
+        m.restore_from(&snap);
+        assert_eq!(contents(&m), contents(&snap));
+    }
+
+    #[test]
+    fn restore_rewinds_pokes_and_the_exec_journal() {
+        let mut m = two_region_mem();
+        let snap = m.clone();
+        rewound(&mut m, &snap);
+        m.poke8(0x1003, 0xCC).unwrap();
+        assert_eq!(m.exec_gen(), 1);
+        m.restore_from(&snap);
+        assert_eq!(m.peek8(0x1003).unwrap(), 0x90);
+        assert_eq!(m.exec_gen(), 0);
+        assert!(m.exec_writes_since(0).is_empty());
+    }
+
+    #[test]
+    fn restore_copies_everything_when_the_source_changed() {
+        let mut m = two_region_mem();
+        let mut snap = m.clone();
+        rewound(&mut m, &snap);
+        // The source itself is written after the rewind: its dirty page
+        // is not in `m`'s bitmap, so only a full copy is exact.
+        snap.write8(0x2004, 7).unwrap();
+        m.restore_from(&snap);
+        assert_eq!(m.read8(0x2004).unwrap(), 7);
+        // A clone is a different source even with equal bytes.
+        let other = snap.clone();
+        assert_ne!(other.epoch, snap.epoch);
+        m.write8(0x2005, 9).unwrap();
+        m.restore_from(&other);
+        assert_eq!(contents(&m), contents(&other));
+        // Mapping a region into the source changes its layout.
+        let mut grown = other.clone();
+        rewound(&mut m, &grown);
+        grown
+            .map(Region::zeroed("more", 0x3000, 16, Perms::RW))
+            .unwrap();
+        m.restore_from(&grown);
+        assert_eq!(contents(&m), contents(&grown));
     }
 }

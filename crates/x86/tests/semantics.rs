@@ -5,7 +5,7 @@
 //! NM-vs-FSV boundary of the study.
 
 use fisec_x86::eflags::{AF, CF, DF, OF, SF, ZF};
-use fisec_x86::{Fault, Machine, Memory, Perms, Reg32, Reg8, Region, StepEvent};
+use fisec_x86::{Fault, Machine, Memory, Perms, Reg32, Reg8, Region, RunOutcome, StepEvent};
 
 fn machine(text: Vec<u8>) -> Machine {
     let mut mem = Memory::new();
@@ -332,23 +332,38 @@ fn eip_trace_ring_buffer() {
 }
 
 #[test]
-fn self_modifying_code_through_rwx_invalidates_icache() {
-    // A program that patches its own upcoming instruction: the icache
-    // must see the new bytes (exec_gen bump via write to rwx region).
-    let mut mem = Memory::new();
-    // mov byte [0x1008], 0x41 ; nop ; <0x1008>: inc eax (will become inc ecx)
+fn self_modifying_code_through_rwx_never_runs_a_stale_decode() {
+    // A program that patches its own upcoming instruction. Neither engine
+    // may execute a decode of replaced bytes: not after the program's own
+    // write into its rwx text, not after an injector poke, and not after a
+    // restore rewinds either of them.
     let text = vec![
         0xC6, 0x05, 0x08, 0x10, 0x00, 0x00, 0x41, // mov byte [0x1008], 0x41
         0x90, // nop
-        0x40, // inc eax -> patched to inc ecx (0x41)
+        0x40, // <0x1008>: inc eax -> patched to inc ecx (0x41)
+        0xCD, 0x80, // int 0x80
     ];
-    mem.map(Region::with_data("rwx", 0x1000, text, Perms::RWX))
-        .unwrap();
-    let mut m = Machine::new(mem);
-    m.cpu.eip = 0x1000;
-    // Warm the cache by... just run; the write happens before first fetch
-    // of 0x1008, but exercise anyway.
-    steps(&mut m, 3);
-    assert_eq!(m.cpu.regs[Reg32::Ecx as usize], 1);
-    assert_eq!(m.cpu.regs[Reg32::Eax as usize], 0);
+    let run = |m: &mut Machine| {
+        assert_eq!(m.run_until_event(100), RunOutcome::Syscall(0x80));
+        [Reg32::Eax, Reg32::Ecx, Reg32::Edx].map(|r| m.cpu.regs[r as usize])
+    };
+    for block_engine in [true, false] {
+        let mut mem = Memory::new();
+        mem.map(Region::with_data("rwx", 0x1000, text.clone(), Perms::RWX))
+            .unwrap();
+        let mut m = Machine::new(mem);
+        m.set_block_engine(block_engine);
+        m.cpu.eip = 0x1000;
+        let snap = m.snapshot();
+        assert_eq!(run(&mut m), [0, 1, 0], "block engine: {block_engine}");
+        // Rewind to the pristine bytes, then poke the store's immediate so
+        // it patches in `inc edx` instead.
+        m.restore(&snap);
+        assert_eq!(m.mem.peek8(0x1008).unwrap(), 0x40);
+        m.mem.poke8(0x1006, 0x42).unwrap();
+        assert_eq!(run(&mut m), [0, 0, 1], "block engine: {block_engine}");
+        // Rewind again: the poke is undone, and so is every decode of it.
+        m.restore(&snap);
+        assert_eq!(run(&mut m), [0, 1, 0], "block engine: {block_engine}");
+    }
 }
