@@ -5,9 +5,9 @@ use crate::counts::{LocationCounts, OutcomeCounts};
 use fisec_apps::AppSpec;
 use fisec_encoding::EncodingScheme;
 use fisec_inject::{
-    enumerate_targets, golden_run_opts, golden_run_with_coverage_opts,
-    run_injection_group_recorded, run_injection_recorded, DivergenceReport, EngineOpts, GoldenRun,
-    GroupMeta, InjectionRun, InjectionTarget, OutcomeClass, PropagationReport, RunMeta,
+    enumerate_targets, golden_run_opts, golden_run_with_coverage_opts, harvest_groups,
+    run_injection_recorded, DivergenceReport, EngineOpts, GoldenRun, GroupMeta, GroupResult,
+    InjectionRun, InjectionTarget, OutcomeClass, PropagationReport, RunMeta,
 };
 use fisec_os::Stop;
 use fisec_telemetry::{
@@ -16,6 +16,7 @@ use fisec_telemetry::{
     TraceEvent,
 };
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -23,9 +24,10 @@ use std::time::Instant;
 /// How the engine executes the per-target experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionMode {
-    /// Checkpoint-based: boot each (client, instruction-address) pair to
-    /// the breakpoint once, snapshot, and replay only the post-flip
-    /// suffix for every byte×bit of that instruction. Targets at
+    /// Checkpoint-based: boot each client once with every instruction
+    /// address's breakpoint armed, fork the parked process at each first
+    /// hit, snapshot the fork, and replay only the post-flip suffix for
+    /// every byte×bit of that instruction. Targets at
     /// addresses the golden run never executes are classified NA from
     /// the golden coverage set without spawning a run. Produces results
     /// bit-identical to [`ExecutionMode::FromScratch`] (enforced by the
@@ -635,7 +637,16 @@ impl<'a> WorkerTel<'a> {
         self.tel.progress.add(tally, 1);
     }
 
-    /// One executed checkpoint group (activated or not).
+    /// One harvester boot, shared by the checkpoint groups it executes.
+    fn note_boot(&mut self) {
+        if self.tel.enabled() {
+            self.shard.inc(metric::FRESH_BOOTS, 1);
+        }
+    }
+
+    /// One executed checkpoint group (activated or not). Its boot is
+    /// counted by [`WorkerTel::note_boot`]; `gmeta.boot_micros` is its
+    /// share of that boot's time.
     fn note_group(
         &mut self,
         targets: &[InjectionTarget],
@@ -652,7 +663,6 @@ impl<'a> WorkerTel<'a> {
         }
         self.shard.inc(metric::RUNS, runs.len() as u64);
         self.shard.inc(metric::GROUPS, 1);
-        self.shard.inc(metric::FRESH_BOOTS, 1);
         self.shard.inc(metric::RESTORES, gmeta.restores);
         self.shard.observe(metric::GROUP_SIZE, runs.len() as u64);
         self.shard
@@ -915,7 +925,26 @@ pub fn run_campaign_cached(
     for (ci, spec) in app.clients.iter().enumerate() {
         let client_start = micros_since(wall_start);
         let boot_start = Instant::now();
-        let golden = golden_run_opts(&app.image, spec, cfg.engine()).expect("image loads");
+        let (golden, coverage) = match cfg.mode {
+            // One golden boot serves the NA pre-filter too. The filter is
+            // sound only when the golden run's stop proves the replayed
+            // prefix cannot reach the breakpoint: an Exited or Deadlock
+            // golden run stops at the same point under the (larger)
+            // injection budget, while a Budget golden would keep running
+            // and a fetch-faulted golden stops *before* its final address
+            // enters the coverage set. Outside the safe cases every group
+            // runs for real.
+            ExecutionMode::Snapshot => {
+                let (golden, cov) = golden_run_with_coverage_opts(&app.image, spec, cfg.engine())
+                    .expect("image loads");
+                let safe = matches!(golden.stop, Stop::Exited(_) | Stop::Deadlock);
+                (golden, safe.then_some(cov))
+            }
+            ExecutionMode::FromScratch => (
+                golden_run_opts(&app.image, spec, cfg.engine()).expect("image loads"),
+                None,
+            ),
+        };
         if tel.enabled() {
             main.inc(metric::FRESH_BOOTS, 1);
             main.phase_add(Phase::Boot, micros_since(boot_start));
@@ -948,6 +977,7 @@ pub fn run_campaign_cached(
             app,
             spec,
             &golden,
+            coverage.as_ref(),
             &set.targets,
             cfg,
             tel,
@@ -1127,6 +1157,7 @@ fn run_targets(
     app: &AppSpec,
     spec: &fisec_apps::ClientSpec,
     golden: &GoldenRun,
+    coverage: Option<&HashSet<u32>>,
     targets: &[InjectionTarget],
     cfg: &CampaignConfig,
     tel: &Telemetry,
@@ -1142,7 +1173,7 @@ fn run_targets(
             app, spec, golden, targets, cfg, tel, client_idx, span_epoch, store,
         ),
         (ExecutionMode::Snapshot, store) => run_targets_snapshot(
-            app, spec, golden, targets, cfg, tel, client_idx, span_epoch, store,
+            app, spec, golden, coverage, targets, cfg, tel, client_idx, span_epoch, store,
         ),
     }
 }
@@ -1395,18 +1426,22 @@ where
 ///
 /// Targets are grouped by instruction address (enumeration emits them
 /// address-major, so groups are contiguous slices). Groups at addresses
-/// the golden run never executes are synthesized as NA wholesale — the
-/// injected run's pre-activation execution is identical to golden, so
-/// its breakpoint can never be hit and it must stop exactly as golden
-/// did. The remaining groups each boot once to the breakpoint and
-/// replay per-bit suffixes from a snapshot; a shared work queue feeds
-/// groups to the worker threads (groups vary wildly in cost, so static
-/// chunking would straggle).
+/// the golden run never executes (`coverage`, when the pre-filter is
+/// sound) are synthesized as NA wholesale — the injected run's
+/// pre-activation execution is identical to golden, so its breakpoint
+/// can never be hit and it must stop exactly as golden did. Groups the
+/// cache answers fold without running. The remaining live groups are
+/// executed by [`harvest_groups`]: one boot with every live group's
+/// breakpoint armed, forked at each first hit into that group's
+/// snapshot-and-replay process. With `threads = T` worker `w` harvests
+/// live groups `w, w + T, …` from its own boot, so a client costs at
+/// most `T` boots, and none when no group is live.
 #[allow(clippy::too_many_arguments)]
 fn run_targets_snapshot(
     app: &AppSpec,
     spec: &fisec_apps::ClientSpec,
     golden: &GoldenRun,
+    coverage: Option<&HashSet<u32>>,
     targets: &[InjectionTarget],
     cfg: &CampaignConfig,
     tel: &Telemetry,
@@ -1423,29 +1458,9 @@ fn run_targets_snapshot(
         None => cfg.engine(),
     };
 
-    // Worker 0 is the campaign thread: it owns the coverage boot, the
-    // pre-filter, the sequential path and the final reassembly.
+    // Worker 0 is the campaign thread: it owns the pre-filter, the
+    // sequential path and the final reassembly.
     let mut wt0 = WorkerTel::new(tel, client_idx, 0, span_epoch);
-
-    // The NA pre-filter is sound only when the golden run's stop proves
-    // the replayed prefix cannot reach the breakpoint: an Exited or
-    // Deadlock golden run stops at the same point under the (larger)
-    // injection budget, while a Budget golden would keep running and a
-    // fetch-faulted golden stops *before* its final address enters the
-    // coverage set. Outside the safe cases every group runs for real.
-    let coverage = if matches!(golden.stop, Stop::Exited(_) | Stop::Deadlock) {
-        let cov_start = Instant::now();
-        let (gold2, cov) =
-            golden_run_with_coverage_opts(&app.image, spec, cfg.engine()).expect("image loads");
-        debug_assert_eq!(gold2.icount, golden.icount);
-        if tel.enabled() {
-            wt0.shard.inc(metric::FRESH_BOOTS, 1);
-            wt0.shard.phase_add(Phase::Boot, micros_since(cov_start));
-        }
-        Some(cov)
-    } else {
-        None
-    };
     let synth_na = |n: usize| -> Vec<DigestedRun> {
         let na = InjectionRun {
             outcome: OutcomeClass::NotActivated,
@@ -1459,13 +1474,14 @@ fn run_targets_snapshot(
         vec![(na, None, None); n]
     };
 
-    // One checkpoint group: run it, digest each report down to the
+    // One executed checkpoint group: digest each report down to the
     // per-run numbers the campaign keeps, drop the traces, and — with a
     // cache attached — write the memoized entry back.
-    let run_group = |group: &[InjectionTarget], wt: &mut WorkerTel<'_>| -> Vec<DigestedRun> {
-        let (runs, gmeta, prof, fp) =
-            run_injection_group_recorded(&app.image, spec, golden, group, cfg.scheme, engine)
-                .expect("image loads");
+    let finish_group = |group: &[InjectionTarget],
+                        result: GroupResult,
+                        wt: &mut WorkerTel<'_>|
+     -> Vec<DigestedRun> {
+        let (runs, gmeta, prof, fp) = result;
         let runs: Vec<(
             InjectionRun,
             RunMeta,
@@ -1499,6 +1515,27 @@ fn run_targets_snapshot(
         digested
     };
 
+    // Harvest `live` groups (indices into `groups`) from one boot.
+    let harvest = |live: &[usize], wt: &mut WorkerTel<'_>| -> Vec<(usize, Vec<DigestedRun>)> {
+        let mut done = Vec::with_capacity(live.len());
+        if live.is_empty() {
+            return done;
+        }
+        wt.note_boot();
+        let batch: Vec<&[InjectionTarget]> = live.iter().map(|&gi| groups[gi].1).collect();
+        harvest_groups(
+            &app.image,
+            spec,
+            golden,
+            &batch,
+            cfg.scheme,
+            engine,
+            |k, result| done.push((live[k], finish_group(batch[k], result, wt))),
+        )
+        .expect("image loads");
+        done
+    };
+
     // Prefilter first, cache second: a group the golden coverage proves
     // NA is synthesized for free and never touches (or populates) the
     // store; the survivors consult the cache before executing.
@@ -1507,7 +1544,7 @@ fn run_targets_snapshot(
         .iter()
         .enumerate()
         .filter_map(|(gi, (_, group))| {
-            if let Some(cov) = &coverage {
+            if let Some(cov) = coverage {
                 if !cov.contains(&group[0].addr) {
                     slots[gi] = Some(synth_na(group.len()));
                     wt0.note_prefilter(group);
@@ -1528,29 +1565,31 @@ fn run_targets_snapshot(
         .collect();
 
     let threads = cfg.threads.max(1).min(live.len().max(1));
-    if threads <= 1 {
-        for &gi in &live {
-            let (_, group) = groups[gi];
-            let runs = run_group(group, &mut wt0);
-            slots[gi] = Some(runs);
-        }
+    let done = if threads <= 1 {
+        harvest(&live, &mut wt0)
     } else {
-        let slots_mx = Mutex::new(&mut slots);
-        run_work_queue(threads, live.len(), |w, pull| {
-            let mut wt = WorkerTel::new(tel, client_idx, w + 1, span_epoch);
-            while let Some(i) = pull() {
-                let gi = live[i];
-                let (_, group) = groups[gi];
-                let runs = run_group(group, &mut wt);
-                let wait_start = Instant::now();
-                let mut guard = slots_mx.lock().expect("no worker panicked");
-                let wait = micros_since(wait_start);
-                guard[gi] = Some(runs);
-                drop(guard);
-                wt.observe_queue_wait(wait);
-            }
-            wt.finish();
-        });
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (0..threads)
+                .map(|w| {
+                    let stripe: Vec<usize> =
+                        live.iter().copied().skip(w).step_by(threads).collect();
+                    let harvest = &harvest;
+                    s.spawn(move || {
+                        let mut wt = WorkerTel::new(tel, client_idx, w + 1, span_epoch);
+                        let done = harvest(&stripe, &mut wt);
+                        wt.finish();
+                        done
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|h| h.join().expect("worker panicked"))
+                .collect()
+        })
+    };
+    for (gi, runs) in done {
+        slots[gi] = Some(runs);
     }
 
     let reassemble_start = Instant::now();
@@ -1593,6 +1632,7 @@ mod tests {
             &app,
             spec,
             &golden,
+            None,
             &targets,
             &cfg,
             &Telemetry::disabled(),
@@ -1628,8 +1668,12 @@ mod tests {
             ..CampaignConfig::default()
         };
         let tel = Telemetry::disabled();
-        let a = run_targets(&app, spec, &golden, &targets, &seq_cfg, &tel, 0, None, None);
-        let b = run_targets(&app, spec, &golden, &targets, &par_cfg, &tel, 0, None, None);
+        let a = run_targets(
+            &app, spec, &golden, None, &targets, &seq_cfg, &tel, 0, None, None,
+        );
+        let b = run_targets(
+            &app, spec, &golden, None, &targets, &par_cfg, &tel, 0, None, None,
+        );
         let oa: Vec<_> = a.iter().map(|r| r.0.outcome).collect();
         let ob: Vec<_> = b.iter().map(|r| r.0.outcome).collect();
         assert_eq!(oa, ob);
@@ -1753,10 +1797,12 @@ mod tests {
                 ..plain
             };
             let golden = golden_run_opts(&app.image, spec, plain.engine()).unwrap();
-            let a = run_targets(&app, spec, &golden, &targets, &plain, &tel, 0, None, None);
+            let a = run_targets(
+                &app, spec, &golden, None, &targets, &plain, &tel, 0, None, None,
+            );
             let golden = golden_run_opts(&app.image, spec, profiled.engine()).unwrap();
             let b = run_targets(
-                &app, spec, &golden, &targets, &profiled, &tel, 0, None, None,
+                &app, spec, &golden, None, &targets, &profiled, &tel, 0, None, None,
             );
             let oa: Vec<_> = a.iter().map(|r| (r.0.outcome, r.0.crash_latency)).collect();
             let ob: Vec<_> = b.iter().map(|r| (r.0.outcome, r.0.crash_latency)).collect();
@@ -1790,9 +1836,13 @@ mod tests {
                     ..plain
                 };
                 let golden = golden_run_opts(&app.image, spec, plain.engine()).unwrap();
-                let a = run_targets(&app, spec, &golden, &targets, &plain, &tel, 0, None, None);
+                let a = run_targets(
+                    &app, spec, &golden, None, &targets, &plain, &tel, 0, None, None,
+                );
                 let golden = golden_run_opts(&app.image, spec, traced.engine()).unwrap();
-                let b = run_targets(&app, spec, &golden, &targets, &traced, &tel, 0, None, None);
+                let b = run_targets(
+                    &app, spec, &golden, None, &targets, &traced, &tel, 0, None, None,
+                );
                 let oa: Vec<_> = a.iter().map(|r| (r.0.outcome, r.0.crash_latency)).collect();
                 let ob: Vec<_> = b.iter().map(|r| (r.0.outcome, r.0.crash_latency)).collect();
                 assert_eq!(

@@ -8,6 +8,8 @@
 //!     identical Table 1 text and Figure 4 latency vectors;
 //!   * an unchanged-tree warm run is 100% cache hits — zero snapshot
 //!     restores, fresh boots for the golden runs only;
+//!   * a cold snapshot campaign on one thread boots twice per client:
+//!     the golden run and one checkpoint harvester;
 //!   * editing a client script (fingerprint) cold-misses that client's
 //!     store without touching the others;
 //!   * poking a code byte re-runs the affected groups and the store
@@ -103,25 +105,54 @@ fn warm_run_is_all_hits_zero_replays_and_byte_identical_in_both_modes() {
         assert_eq!(cold_m.counter(metric::CACHE_STORES), groups);
 
         // Warm: 100% hits, no stores, and the engine never replayed —
-        // zero snapshot restores. Snapshot mode boots twice per client
-        // (golden + the NA-prefilter coverage boot, which by design
-        // runs before the store is consulted); from-scratch once.
+        // zero snapshot restores, and one boot per client in either
+        // mode: the golden run (which in snapshot mode also records the
+        // NA pre-filter's coverage). No group is live, so snapshot mode
+        // boots no harvester.
         assert_eq!(warm_m.counter(metric::CACHE_HIT_GROUPS), groups, "{mode:?}");
         assert_eq!(warm_m.counter(metric::CACHE_MISS_GROUPS), 0, "{mode:?}");
         assert_eq!(warm_m.counter(metric::CACHE_STALE_GROUPS), 0, "{mode:?}");
         assert_eq!(warm_m.counter(metric::CACHE_STORES), 0, "{mode:?}");
         assert_eq!(warm_m.counter(metric::RESTORES), 0, "{mode:?}");
-        let boots_per_client = match mode {
-            ExecutionMode::Snapshot => 2,
-            ExecutionMode::FromScratch => 1,
-        };
         assert_eq!(
             warm_m.counter(metric::FRESH_BOOTS),
-            boots_per_client * app.clients.len() as u64,
-            "{mode:?}: warm run must boot golden/coverage and nothing else"
+            app.clients.len() as u64,
+            "{mode:?}: warm run must boot the golden runs and nothing else"
         );
         assert!(warm_m.counter(metric::CACHE_SYNTH_RUNS) > 0, "{mode:?}");
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn cold_snapshot_campaign_boots_golden_plus_one_harvester_per_client() {
+    // On one thread a client costs exactly two boots, however many
+    // checkpoint groups it executes: the golden run (which also records
+    // the NA pre-filter's coverage) and the harvester every live group
+    // is forked from. With a store attached and without.
+    for app in [AppSpec::ftpd(), AppSpec::sshd()] {
+        let cfg = CampaignConfig {
+            threads: 1,
+            ..CampaignConfig::default()
+        };
+        let (cache, dir) = temp_cache(&format!("cold-boots-{}", app.name));
+        for store in [None, Some(&cache)] {
+            let (_, m) = run(&app, &cfg, store);
+            let clients = app.clients.len() as u64;
+            assert!(
+                m.counter(metric::GROUPS) > clients,
+                "{}: the campaign must execute several groups per client",
+                app.name
+            );
+            assert_eq!(
+                m.counter(metric::FRESH_BOOTS),
+                2 * clients,
+                "{}: one golden boot and one harvester per client (store: {})",
+                app.name,
+                store.is_some()
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

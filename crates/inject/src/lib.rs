@@ -214,8 +214,11 @@ pub struct RunMeta {
 /// Per-boot metadata shared by every run of a metered call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GroupMeta {
-    /// Host microseconds booting from `_start` to the breakpoint (or to
-    /// the natural stop when the breakpoint was never reached).
+    /// Host microseconds booting to the breakpoint (or to the natural
+    /// stop when the breakpoint was never reached). For a group of a
+    /// [`harvest_groups`] boot, its share of the shared boot: the
+    /// harvester time since the previous group was handed over, fork
+    /// included.
     pub boot_micros: u64,
     /// Host microseconds capturing the checkpoint (0 when no checkpoint
     /// was taken).
@@ -454,6 +457,9 @@ fn golden_continuation(p: &mut Process, addr: u32) -> GoldenContinuation {
 /// a from-scratch run because [`fisec_os::Process::restore`] rewinds
 /// registers, memory, icount, breakpoints and the client channel.
 ///
+/// This is the one-group case of [`harvest_groups`], which shares one
+/// boot among many groups.
+///
 /// # Errors
 /// Propagates [`fisec_os::LoadError`] if the image cannot be loaded.
 ///
@@ -523,6 +529,26 @@ pub fn run_injection_group_metered_opts(
     )
 }
 
+/// One run of an executed checkpoint group: the classified run, its
+/// metadata, and the divergence and propagation reports when those
+/// observers are on.
+pub type GroupRun = (
+    InjectionRun,
+    RunMeta,
+    Option<DivergenceReport>,
+    Option<PropagationReport>,
+);
+
+/// One executed checkpoint group: its runs in target order, the group's
+/// metadata, and the group's [`ExecProfile`] and [`Footprint`] when
+/// those observers are on.
+pub type GroupResult = (
+    Vec<GroupRun>,
+    GroupMeta,
+    Option<ExecProfile>,
+    Option<Footprint>,
+);
+
 /// [`run_injection_group_metered_opts`] plus a [`DivergenceReport`] per
 /// activated run when `engine.flight_recorder` is on: the checkpoint is
 /// resumed once without the flip (recorder armed) as the group's golden
@@ -540,12 +566,13 @@ pub fn run_injection_group_metered_opts(
 /// state, so the restore at the top of the next replay would drop it
 /// anyway; the explicit take seals it first.
 ///
+/// This is [`harvest_groups`] over the one group.
+///
 /// # Errors
 /// Propagates [`fisec_os::LoadError`] if the image cannot be loaded.
 ///
 /// # Panics
 /// If the targets do not all share one instruction address.
-#[allow(clippy::type_complexity)]
 pub fn run_injection_group_recorded(
     image: &Image,
     client: &ClientSpec,
@@ -553,79 +580,242 @@ pub fn run_injection_group_recorded(
     targets: &[InjectionTarget],
     scheme: EncodingScheme,
     engine: EngineOpts,
-) -> Result<
-    (
-        Vec<(
-            InjectionRun,
-            RunMeta,
-            Option<DivergenceReport>,
-            Option<PropagationReport>,
-        )>,
-        GroupMeta,
-        Option<ExecProfile>,
-        Option<Footprint>,
-    ),
-    fisec_os::LoadError,
-> {
-    let Some(addr) = targets.first().map(|t| t.addr) else {
+) -> Result<GroupResult, fisec_os::LoadError> {
+    if targets.is_empty() {
         return Ok((Vec::new(), GroupMeta::default(), None, None));
-    };
-    assert!(
-        targets.iter().all(|t| t.addr == addr),
-        "run_injection_group requires targets sharing one address"
-    );
-    let boot_start = Instant::now();
+    }
+    let mut out = None;
+    harvest_groups(image, client, golden, &[targets], scheme, engine, |_, r| {
+        out = Some(r);
+    })?;
+    Ok(out.expect("a harvest reports every group"))
+}
+
+/// Where [`harvest_checkpoints`] stopped for some of the requested
+/// addresses.
+#[derive(Debug)]
+pub enum Checkpoint<'a> {
+    /// The breakpoint at `addrs[index]` was reached. `process` is parked
+    /// there with it as its only armed breakpoint: the state a fresh
+    /// `load` + `add_breakpoint` + `run` boot to the address reaches.
+    Reached {
+        /// Index into the harvested addresses.
+        index: usize,
+        /// The parked process (a fork, or the harvester itself for the
+        /// address reached last). Dropped when the visit returns.
+        process: &'a mut Process,
+    },
+    /// The harvester stopped with `stop` before reaching any of the
+    /// addresses at `indices` (ascending). `process` holds its final
+    /// state, which is where a fresh boot to any of them ends too.
+    Unreached {
+        /// Indices into the harvested addresses.
+        indices: Vec<usize>,
+        /// Why the harvester stopped.
+        stop: Stop,
+        /// The stopped harvester.
+        process: &'a mut Process,
+    },
+}
+
+/// Boot `client` once with a breakpoint at every address in `addrs` and
+/// hand out the process parked at each one.
+///
+/// Pre-activation execution is the golden run, so every checkpoint's
+/// boot-to-breakpoint prefix is a prefix of the same execution. At each
+/// first hit the *harvester* forks (clones) the parked process, reduces
+/// the fork's breakpoint set to the hit address, visits it as
+/// [`Checkpoint::Reached`] and drops it, then disarms the address and
+/// continues. The address reached last is visited on the harvester
+/// itself, so a one-address harvest never forks. When the harvester
+/// stops for any other reason, the addresses not yet reached are
+/// visited once, together, as [`Checkpoint::Unreached`].
+///
+/// A fork keeps the harvester's decoded caches and observers
+/// (footprint, profile), so both cover the boot prefix as a fresh
+/// boot's would. `visit` also receives the harvester time since the
+/// previous visit returned, fork included: each checkpoint's share of
+/// the boot.
+///
+/// # Errors
+/// Propagates [`fisec_os::LoadError`] if the image cannot be loaded.
+pub fn harvest_checkpoints(
+    image: &Image,
+    client: &ClientSpec,
+    golden: &GoldenRun,
+    addrs: &[u32],
+    engine: EngineOpts,
+    mut visit: impl FnMut(Checkpoint<'_>, u64),
+) -> Result<(), fisec_os::LoadError> {
+    // (address, index) of every checkpoint not yet reached, sorted.
+    let mut pending: Vec<(u32, usize)> = addrs.iter().copied().zip(0..).collect();
+    if pending.is_empty() {
+        return Ok(());
+    }
+    pending.sort_unstable();
+
+    let mut seg_start = Instant::now();
     let mut p = Process::load(image, client.make())?;
     engine.apply(&mut p);
-    let budget = (golden.icount * BUDGET_MULTIPLIER).max(BUDGET_FLOOR);
-    p.set_budget(budget);
-    p.machine.add_breakpoint(addr);
+    p.set_budget((golden.icount * BUDGET_MULTIPLIER).max(BUDGET_FLOOR));
+    for &(addr, _) in &pending {
+        p.machine.add_breakpoint(addr);
+    }
+    loop {
+        let stop = p.run();
+        let Stop::Breakpoint(addr) = stop else {
+            let mut indices: Vec<usize> = pending.into_iter().map(|(_, i)| i).collect();
+            indices.sort_unstable();
+            let checkpoint = Checkpoint::Unreached {
+                indices,
+                stop,
+                process: &mut p,
+            };
+            visit(checkpoint, micros_since(seg_start));
+            return Ok(());
+        };
+        let at = pending.partition_point(|&(a, _)| a < addr);
+        let (_, index) = pending.remove(at);
+        if pending.is_empty() {
+            // Every other breakpoint is disarmed: the harvester is in
+            // the fresh-boot state.
+            let checkpoint = Checkpoint::Reached {
+                index,
+                process: &mut p,
+            };
+            visit(checkpoint, micros_since(seg_start));
+            return Ok(());
+        }
+        let mut fork = p.clone();
+        fork.machine.clear_breakpoints();
+        fork.machine.add_breakpoint(addr);
+        let checkpoint = Checkpoint::Reached {
+            index,
+            process: &mut fork,
+        };
+        visit(checkpoint, micros_since(seg_start));
+        drop(fork);
+        // Another checkpoint at the same address keeps it armed: the
+        // next run stops there again at once.
+        if pending.get(at).map(|&(a, _)| a) != Some(addr) {
+            p.machine.remove_breakpoint(addr);
+        }
+        seg_start = Instant::now();
+    }
+}
 
-    let first = p.run();
-    let boot_micros = micros_since(boot_start);
-    let Stop::Breakpoint(_) = first else {
-        // Instruction never executed: the whole group is not activated,
-        // and (determinism) every from-scratch run would stop the same
-        // way with the same client verdict. Each synthesized run is
-        // billed the shared prefix's icount — the work a from-scratch
-        // run would have retired.
-        let na = InjectionRun {
-            outcome: OutcomeClass::NotActivated,
-            activated: false,
-            stop: first,
-            client: p.client_status(),
-            crash_latency: None,
-            transient_deviation: false,
-            divergence: None,
-        };
-        let meta = RunMeta {
-            icount: p.icount(),
-            run_micros: 0,
-            classify_micros: 0,
-        };
-        let group = GroupMeta {
-            boot_micros,
-            ..GroupMeta::default()
-        };
-        let profile = p.machine.take_exec_profile();
-        let footprint = p.machine.take_footprint();
-        return Ok((
-            vec![(na, meta, None, None); targets.len()],
-            group,
-            profile,
-            footprint,
-        ));
-    };
+/// Execute many checkpoint groups of one client from a single boot.
+///
+/// [`harvest_checkpoints`] boots once with every group's breakpoint
+/// armed, and each group replays on the process parked at its
+/// breakpoint: checkpoint, then per target restore, peek the pristine
+/// byte, flip, disarm, run, classify — observably identical to a
+/// from-scratch run because [`fisec_os::Process::restore`] rewinds
+/// registers, memory, icount, breakpoints and the client channel. A
+/// group the harvester never reaches is not activated, and
+/// (determinism) a fresh boot to its address would have stopped the
+/// same way: each of its runs gets the harvester's stop, client verdict
+/// and icount — the work a from-scratch run would have retired — and
+/// the group gets the harvester's final profile and footprint.
+///
+/// `on_group(i, result)` is called once per group `groups[i]`: in the
+/// order the breakpoints are reached, then the unreached groups in
+/// index order. A group's [`GroupMeta::boot_micros`] is its share of
+/// the boot (see [`harvest_checkpoints`]).
+///
+/// # Errors
+/// Propagates [`fisec_os::LoadError`] if the image cannot be loaded.
+///
+/// # Panics
+/// If a group is empty or its targets do not all share one address.
+pub fn harvest_groups(
+    image: &Image,
+    client: &ClientSpec,
+    golden: &GoldenRun,
+    groups: &[&[InjectionTarget]],
+    scheme: EncodingScheme,
+    engine: EngineOpts,
+    mut on_group: impl FnMut(usize, GroupResult),
+) -> Result<(), fisec_os::LoadError> {
+    let addrs: Vec<u32> = groups
+        .iter()
+        .map(|group| {
+            let addr = group.first().expect("checkpoint groups are non-empty").addr;
+            assert!(
+                group.iter().all(|t| t.addr == addr),
+                "a checkpoint group's targets share one address"
+            );
+            addr
+        })
+        .collect();
+    harvest_checkpoints(
+        image,
+        client,
+        golden,
+        &addrs,
+        engine,
+        |checkpoint, boot_micros| match checkpoint {
+            Checkpoint::Reached { index, process } => {
+                let targets = groups[index];
+                let result =
+                    replay_group(process, image, golden, targets, scheme, engine, boot_micros);
+                on_group(index, result);
+            }
+            Checkpoint::Unreached {
+                indices,
+                stop,
+                process,
+            } => {
+                let na = InjectionRun {
+                    outcome: OutcomeClass::NotActivated,
+                    activated: false,
+                    stop,
+                    client: process.client_status(),
+                    crash_latency: None,
+                    transient_deviation: false,
+                    divergence: None,
+                };
+                let meta = RunMeta {
+                    icount: process.icount(),
+                    run_micros: 0,
+                    classify_micros: 0,
+                };
+                let profile = process.machine.take_exec_profile();
+                let footprint = process.machine.take_footprint();
+                let mut boot_micros = boot_micros;
+                for index in indices {
+                    let group = GroupMeta {
+                        boot_micros: std::mem::take(&mut boot_micros),
+                        ..GroupMeta::default()
+                    };
+                    let runs = vec![(na.clone(), meta, None, None); groups[index].len()];
+                    on_group(index, (runs, group, profile.clone(), footprint.clone()));
+                }
+            }
+        },
+    )
+}
 
+/// Replay one checkpoint group on a process parked at the group's
+/// breakpoint, its only armed one: checkpoint, then restore, flip,
+/// disarm, run and classify per target.
+fn replay_group(
+    p: &mut Process,
+    image: &Image,
+    golden: &GoldenRun,
+    targets: &[InjectionTarget],
+    scheme: EncodingScheme,
+    engine: EngineOpts,
+    boot_micros: u64,
+) -> GroupResult {
+    let addr = targets[0].addr;
     let snapshot_start = Instant::now();
     let checkpoint = p.snapshot();
     let snapshot_micros = micros_since(snapshot_start);
     let activation_icount = p.icount();
     // One golden continuation serves the whole group; the restore at
     // the top of every replay rewinds the detour.
-    let golden_ref = engine
-        .flight_recorder
-        .then(|| golden_continuation(&mut p, addr));
+    let golden_ref = engine.flight_recorder.then(|| golden_continuation(p, addr));
     let mut runs = Vec::with_capacity(targets.len());
     for target in targets {
         let replay_start = Instant::now();
@@ -689,7 +879,7 @@ pub fn run_injection_group_recorded(
     };
     let profile = p.machine.take_exec_profile();
     let footprint = p.machine.take_footprint();
-    Ok((runs, group, profile, footprint))
+    (runs, group, profile, footprint)
 }
 
 /// Determine the §6.2 mapping context for the corrupted byte.
@@ -744,6 +934,59 @@ mod tests {
         assert_eq!(byte_ctx(&mk(0x0F, 1)), ByteCtx::SecondOpcodeByte);
         assert_eq!(byte_ctx(&mk(0x74, 1)), ByteCtx::Other);
         assert_eq!(byte_ctx(&mk(0x0F, 3)), ByteCtx::Other);
+    }
+
+    #[test]
+    fn harvest_serves_same_address_groups_alike() {
+        // Two groups at one address: the harvester stays parked there
+        // until both are served, and each matches the group run alone.
+        let app = AppSpec::ftpd();
+        let client = &app.clients[0];
+        let golden = golden_run(&app.image, client).unwrap();
+        let set = enumerate_targets(&app.image, &app.auth_funcs, false);
+        let addr = set.targets[0].addr;
+        let group: Vec<InjectionTarget> = set
+            .targets
+            .iter()
+            .copied()
+            .filter(|t| t.addr == addr)
+            .collect();
+        let later = set.targets.last().unwrap().addr;
+        let tail: Vec<InjectionTarget> = set
+            .targets
+            .iter()
+            .copied()
+            .filter(|t| t.addr == later)
+            .collect();
+        let (engine, scheme) = (EngineOpts::default(), EncodingScheme::Baseline);
+        let alone =
+            run_injection_group_recorded(&app.image, client, &golden, &group, scheme, engine)
+                .unwrap();
+        assert!(alone.1.activated, "the first target address is executed");
+        let key = |runs: &[GroupRun]| -> Vec<(InjectionRun, u64)> {
+            runs.iter()
+                .map(|(run, m, _, _)| (run.clone(), m.icount))
+                .collect()
+        };
+        let mut served = Vec::new();
+        let batch = [&group[..], &tail[..], &group[..]];
+        harvest_groups(
+            &app.image,
+            client,
+            &golden,
+            &batch,
+            scheme,
+            engine,
+            |i, r| {
+                if i != 1 {
+                    assert_eq!(key(&r.0), key(&alone.0), "group {i}");
+                }
+                served.push(i);
+            },
+        )
+        .unwrap();
+        served.sort_unstable();
+        assert_eq!(served, [0, 1, 2]);
     }
 
     #[test]

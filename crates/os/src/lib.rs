@@ -97,7 +97,12 @@ impl fmt::Display for LoadError {
 impl std::error::Error for LoadError {}
 
 /// A simulated server process: machine + kernel shim + client channel.
-#[derive(Debug)]
+///
+/// `Clone` forks the process: the copy resumes from the same point with
+/// its own address space, client channel and budget, and keeps the
+/// decoded caches and observers (footprint, profile) accumulated so far.
+/// The injector forks one parked boot at every checkpoint it harvests.
+#[derive(Debug, Clone)]
 pub struct Process {
     /// The CPU and address space.
     pub machine: Machine,

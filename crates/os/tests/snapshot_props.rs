@@ -2,7 +2,8 @@
 //! sequence of further steps and memory pokes followed by `restore()`
 //! leaves the machine (and the whole process) observably identical to
 //! one that never deviated — same registers, flags, memory, icount and
-//! subsequent execution.
+//! subsequent execution. A forked (cloned) process runs like the
+//! original and rewinds like it.
 
 use fisec_net::{ClientDriver, ClientStatus};
 use fisec_os::{Process, Stop};
@@ -256,6 +257,64 @@ proptest! {
         prop_assert_eq!(icount1, p.icount());
         prop_assert_eq!(client1, p.client_status());
         prop_assert_eq!(trace1, p.trace());
+    }
+
+    /// Fork: a clone of a process parked at a random icount (a budget
+    /// stop, on either engine, after the original has already been
+    /// rewound once) runs to the same end as the original — stop,
+    /// icount, client verdict, traffic and every region byte — and stays
+    /// in the original's lineage: a snapshot taken on the fork, or on the
+    /// original before the fork or before its rewind, rewinds the fork
+    /// exactly, after which it reruns to the same end.
+    #[test]
+    fn fork_runs_and_rewinds_like_the_original(
+        lines in lines_strategy(),
+        fork_permille in 0u64..1000,
+        block_engine in any::<bool>(),
+        deviation in deviation_strategy(),
+    ) {
+        const BUDGET: u64 = 40_000;
+        let mut p = load(&lines, BUDGET);
+        p.machine.set_block_engine(block_engine);
+        let origin = p.snapshot();
+        let origin_state = p.machine.clone();
+        let _ = p.run();
+        let fork_at = p.icount() * fork_permille / 1000;
+        // Rewound, the original copies back only the pages it dirties
+        // from here on; the fork must not inherit that shortcut.
+        p.restore(&origin);
+        p.set_budget(fork_at);
+        let _ = p.run();
+        p.set_budget(BUDGET);
+        let before_fork = p.snapshot();
+        let parked = p.machine.clone();
+        let mut fork = p.clone();
+        let fork_snap = fork.snapshot();
+        // A fork rewound at once has dirtied nothing itself, yet must
+        // copy back everything the original wrote since `origin`.
+        let mut early = p.clone();
+        early.restore(&origin);
+        let diff = state_diff(&early.machine, &origin_state);
+        prop_assert!(diff.is_none(), "fork rewound at once: {:?}", diff);
+
+        let stop = p.run();
+        prop_assert_eq!(&fork.run(), &stop);
+        prop_assert_eq!(fork.icount(), p.icount());
+        prop_assert_eq!(fork.client_status(), p.client_status());
+        prop_assert_eq!(fork.trace(), p.trace());
+        let diff = state_diff(&fork.machine, &p.machine);
+        prop_assert!(diff.is_none(), "fork vs original at the end: {:?}", diff);
+
+        for (snap, state) in [(&fork_snap, &parked), (&before_fork, &parked), (&origin, &origin_state)] {
+            deviate(&mut fork.machine, &deviation);
+            fork.restore(snap);
+            let diff = state_diff(&fork.machine, state);
+            prop_assert!(diff.is_none(), "rewound fork: {:?}", diff);
+            prop_assert_eq!(&fork.run(), &stop);
+            prop_assert_eq!(fork.icount(), p.icount());
+            prop_assert_eq!(fork.client_status(), p.client_status());
+            prop_assert_eq!(fork.trace(), p.trace());
+        }
     }
 }
 

@@ -130,7 +130,8 @@ pub struct CampaignEndEvent {
     pub na_prefilter_runs: u64,
     /// Checkpoint restores performed.
     pub restores: u64,
-    /// Fresh process boots (golden runs, group boots, from-scratch runs).
+    /// Fresh process boots (golden runs, checkpoint harvesters,
+    /// from-scratch runs).
     pub fresh_boots: u64,
     /// Checkpoint groups folded in from the incremental campaign cache
     /// without executing. Absent from cache-off traces (older streams

@@ -19,7 +19,8 @@ pub mod metric {
     pub const GROUPS: &str = "groups";
     /// Counter: runs classified NA by the golden-coverage pre-filter.
     pub const NA_PREFILTER_RUNS: &str = "na_prefilter_runs";
-    /// Counter: fresh process boots (golden, group or from-scratch).
+    /// Counter: fresh process boots (golden, checkpoint harvester or
+    /// from-scratch).
     pub const FRESH_BOOTS: &str = "fresh_boots";
     /// Counter: checkpoint restores.
     pub const RESTORES: &str = "restores";

@@ -13,7 +13,8 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Booting a process from `_start` to the breakpoint (or to its
-    /// natural stop): golden runs, group boots, from-scratch prefixes.
+    /// natural stop): golden runs, checkpoint harvesters, from-scratch
+    /// prefixes.
     Boot,
     /// Capturing process checkpoints.
     Snapshot,

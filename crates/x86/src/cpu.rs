@@ -196,8 +196,8 @@ impl Coverage {
 /// outside provably cannot (code bytes read as *data* are the documented
 /// exception; `fisec cache verify` exists to audit it).
 ///
-/// Marking is a conservative over-approximation: a block dispatch marks
-/// the whole block even when execution faults mid-block, so the block
+/// Marking is a conservative over-approximation: a built block is marked
+/// whole even when execution faults mid-block, so the block
 /// and per-step engines may record slightly different (both valid)
 /// supersets of the bytes actually fetched.
 #[derive(Debug, Clone)]
@@ -366,9 +366,10 @@ pub struct Machine {
     trace_cap: usize,
     trace_next: usize,
     coverage: Option<Coverage>,
-    /// Executed-code footprint, marked at dispatch granularity (see
+    /// Executed-code footprint, marked when a block is built (see
     /// [`Footprint`]). Not snapshot state: it survives restores so one
-    /// footprint accumulates across every replay of a checkpoint group.
+    /// footprint accumulates across every replay of a checkpoint group,
+    /// and a clone (a forked process) carries it on.
     footprint: Option<Box<Footprint>>,
     recorder: Option<FlightRecorder>,
     /// Propagation tracer (see [`crate::taint`]). Like the flight
@@ -528,8 +529,8 @@ impl Machine {
         self.coverage.as_ref().map(Coverage::to_set)
     }
 
-    /// Record the byte ranges fetched for execution from now on, at
-    /// dispatch granularity (see [`Footprint`]). Unlike coverage this is
+    /// Record the byte ranges fetched for execution from now on, marked
+    /// when a block is built (see [`Footprint`]). Unlike coverage this is
     /// not snapshot state: [`Machine::restore`] leaves it accumulating,
     /// so one footprint unions every replay of a checkpoint group.
     /// Enable it after the image is mapped (the bitmap spans the
@@ -779,6 +780,11 @@ impl Machine {
         if let Err(i) = self.breakpoints.binary_search(&addr) {
             self.breakpoints.insert(i, addr);
         }
+    }
+
+    /// Disarm every breakpoint.
+    pub fn clear_breakpoints(&mut self) {
+        self.breakpoints.clear();
     }
 
     /// Disarm a breakpoint. Returns true if it was armed.
