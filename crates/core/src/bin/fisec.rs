@@ -62,7 +62,6 @@ struct Args {
     json: bool,
     new_encoding: bool,
     no_block_cache: bool,
-    no_trace_cache: bool,
     trace_out: Option<String>,
     progress: bool,
     path: Option<String>,
@@ -108,7 +107,6 @@ fn parse_args_from(argv: impl IntoIterator<Item = String>) -> Result<Args, Strin
         json: false,
         new_encoding: false,
         no_block_cache: false,
-        no_trace_cache: false,
         trace_out: None,
         progress: false,
         path: None,
@@ -158,7 +156,6 @@ fn parse_args_from(argv: impl IntoIterator<Item = String>) -> Result<Args, Strin
             "--json" => a.json = true,
             "--new-encoding" => a.new_encoding = true,
             "--no-block-cache" => a.no_block_cache = true,
-            "--no-trace-cache" => a.no_trace_cache = true,
             "--trace-out" => a.trace_out = Some(val("--trace-out")?),
             "--progress" => a.progress = true,
             "--addr" => {
@@ -227,7 +224,7 @@ fn usage() -> String {
     "usage: fisec <table1|table3|table5|figure4|random|load|targets|disasm|breakins|ablation|forensics|explain|propagate|stats|profile|report|bench-diff|cache|help> [flags]\n\
      flags: --app ftpd|sshd|both  --func NAME  --client N  --runs N  --samples N\n\
             --seed S  --threads N  --top K  --stride N  --json  --new-encoding\n\
-            --no-block-cache  --no-trace-cache  --trace-out PATH  --progress  --recorder\n\
+            --no-block-cache  --trace-out PATH  --progress  --recorder\n\
             --propagation  --addr 0xADDR  --byte N  --bit N  --from-trace\n\
             --batch N  --target-ci WIDTH  --resume LEDGER  --from-scratch\n\
             --profile  --chrome-trace OUT.json  --out PATH  --factor F\n\
@@ -301,7 +298,6 @@ fn cfg_of(a: &Args, scheme: EncodingScheme) -> CampaignConfig {
     let mut cfg = CampaignConfig {
         scheme,
         block_cache: !a.no_block_cache,
-        trace_cache: !a.no_trace_cache,
         flight_recorder: a.recorder || a.from_trace,
         propagation: a.propagation,
         profiler: a.profile,
@@ -596,7 +592,6 @@ fn run(args: &Args) -> Result<(), String> {
             let app = &apps[0];
             let engine = fisec_inject::EngineOpts {
                 block_cache: !args.no_block_cache,
-                trace_cache: !args.no_trace_cache,
                 ..fisec_inject::EngineOpts::default()
             };
             let threads = args.threads.unwrap_or(1).max(1);
@@ -1378,18 +1373,6 @@ mod tests {
     }
 
     #[test]
-    fn no_trace_cache_flag_caps_the_engine_at_tier1() {
-        let a = parse(&["table1"]).unwrap();
-        assert!(!a.no_trace_cache);
-        assert!(cfg_of(&a, EncodingScheme::Baseline).trace_cache);
-        let a = parse(&["table1", "--no-trace-cache"]).unwrap();
-        assert!(a.no_trace_cache);
-        assert!(!cfg_of(&a, EncodingScheme::Baseline).trace_cache);
-        // Orthogonal to --no-block-cache: capping tier 2 keeps tier 1.
-        assert!(cfg_of(&a, EncodingScheme::Baseline).block_cache);
-    }
-
-    #[test]
     fn profile_baseline_flag_parses_and_requires_profile_events() {
         let a = parse(&["profile", "run.jsonl", "--baseline", "old.jsonl"]).unwrap();
         assert_eq!(a.path.as_deref(), Some("run.jsonl"));
@@ -1548,6 +1531,40 @@ mod tests {
         let e = run(&a).unwrap_err();
         assert!(e.contains("no profile events"), "{e}");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn profile_replays_traces_saved_with_tier2_fields() {
+        // Traces saved while the engine had a trace tier carry
+        // `hot_traces` and `trace_*` in their profile events. They must
+        // still parse, and render as a profile and as a baseline.
+        let fixture = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/fixtures/report_trace.jsonl"
+        );
+        let text = std::fs::read_to_string(fixture).unwrap();
+        let old = text
+            .replace(
+                "\"hot_traces\":[]",
+                "\"hot_traces\":[{\"addr\":134516992,\"dispatches\":30,\"retired\":3900}]",
+            )
+            .replace("\"trace_built\":0", "\"trace_built\":2")
+            .replace("\"trace_hits\":0", "\"trace_hits\":30")
+            .replace("\"trace_side_exits\":0", "\"trace_side_exits\":1")
+            .replace("\"trace_invalidated\":0", "\"trace_invalidated\":3");
+        assert!(old.contains("\"trace_hits\":30") && old.contains("\"retired\":3900}]"));
+        let dir = std::env::temp_dir().join("fisec_profile_tier2_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("old.jsonl");
+        std::fs::write(&path, old).unwrap();
+        let path = path.to_str().unwrap();
+
+        let replay = trace::read_trace(path).unwrap();
+        let data = &replay.campaigns[0].profile.as_ref().unwrap().data;
+        assert_eq!(data.total_retired(), 5200 + 64 + 36);
+        run(&parse(&["profile", path]).unwrap()).unwrap();
+        run(&parse(&["profile", path, "--baseline", path]).unwrap()).unwrap();
+        std::fs::remove_file(path).ok();
     }
 
     #[test]

@@ -65,10 +65,6 @@ pub struct CampaignConfig {
     /// (default). `false` — the `--no-block-cache` escape hatch — forces
     /// the reference per-step engine; results are bit-identical.
     pub block_cache: bool,
-    /// Promote hot blocks into tier-2 superblock traces (default).
-    /// `false` — the `--no-trace-cache` escape hatch — caps the engine
-    /// at tier 1; results are bit-identical (differential tests).
-    pub trace_cache: bool,
     /// Record a control-flow flight trace for every activated run and
     /// diff it against the golden continuation (`--recorder`). A pure
     /// observer: classification results are bit-identical either way
@@ -104,7 +100,6 @@ impl Default for CampaignConfig {
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             mode: ExecutionMode::default(),
             block_cache: true,
-            trace_cache: true,
             flight_recorder: false,
             profiler: false,
             spans: false,
@@ -118,7 +113,6 @@ impl CampaignConfig {
     fn engine(&self) -> EngineOpts {
         EngineOpts {
             block_cache: self.block_cache,
-            trace_cache: self.trace_cache,
             flight_recorder: self.flight_recorder,
             profiler: self.profiler,
             propagation: self.propagation,
@@ -152,29 +146,14 @@ fn profile_data(p: &fisec_x86::ExecProfile) -> ProfileData {
         })
         .collect();
     slow.sort_by_key(|s| s.addr);
-    let mut hot_traces: Vec<HotBlock> = p
-        .traces
-        .iter()
-        .map(|(addr, t)| HotBlock {
-            addr: *addr,
-            dispatches: t.dispatches,
-            retired: t.retired,
-        })
-        .collect();
-    hot_traces.sort_by_key(|b| b.addr);
     ProfileData {
         blocks,
-        hot_traces,
         slow,
         stepwise_retired: p.stepwise_retired,
         cache_built: p.cache.built,
         cache_hits: p.cache.hits,
         cache_invalidated: p.cache.invalidated,
         cache_conflict_evictions: p.cache.conflict_evictions,
-        trace_built: p.trace_cache.built,
-        trace_hits: p.trace_cache.hits,
-        trace_side_exits: p.trace_cache.side_exits,
-        trace_invalidated: p.trace_cache.invalidated,
     }
 }
 
@@ -1811,24 +1790,20 @@ mod tests {
     }
 
     #[test]
-    fn propagation_is_invisible_to_outcomes_in_all_four_engine_configs() {
+    fn propagation_is_invisible_to_outcomes_in_both_engines() {
         // The taint tracer is a pure observer: outcomes and crash
         // latencies must be bit-identical tracer on/off in both
-        // execution modes and across all four {block cache} x {trace
-        // cache} engine configurations.
+        // execution modes, on the block engine and the per-step one.
         let app = AppSpec::ftpd();
         let set = enumerate_targets(&app.image, &["pass"], true);
         let targets: Vec<_> = set.targets.iter().take(60).copied().collect();
         let spec = &app.clients[0];
         let tel = Telemetry::disabled();
         for mode in [ExecutionMode::Snapshot, ExecutionMode::FromScratch] {
-            for (block_cache, trace_cache) in
-                [(true, true), (true, false), (false, true), (false, false)]
-            {
+            for block_cache in [true, false] {
                 let plain = CampaignConfig {
                     mode,
                     block_cache,
-                    trace_cache,
                     ..CampaignConfig::default()
                 };
                 let traced = CampaignConfig {
@@ -1848,8 +1823,7 @@ mod tests {
                 assert_eq!(
                     oa,
                     ob,
-                    "tracer changed outcomes in {} mode (block_cache={block_cache}, \
-                     trace_cache={trace_cache})",
+                    "tracer changed outcomes in {} mode (block_cache={block_cache})",
                     mode.name()
                 );
                 // And the traced runs actually produced digests.

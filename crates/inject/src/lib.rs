@@ -33,7 +33,6 @@ pub use target::{enumerate_targets, InjectionTarget, TargetSet};
 use fisec_apps::ClientSpec;
 use fisec_asm::Image;
 use fisec_encoding::{remap_flip, ByteCtx, EncodingScheme};
-use fisec_net::Trace;
 use fisec_os::{Process, Stop};
 use fisec_x86::{ExecProfile, Footprint, DEFAULT_TAINT_HORIZON};
 use std::time::Instant;
@@ -55,12 +54,6 @@ pub struct EngineOpts {
     /// the `--no-block-cache` escape hatch: the reference per-step
     /// interpreter.
     pub block_cache: bool,
-    /// Promote hot blocks into tier-2 superblock traces (the default;
-    /// only meaningful with `block_cache`). `false` is the
-    /// `--no-trace-cache` escape hatch: tier-1 block dispatch only.
-    /// Outcomes are bit-identical either way (pinned by differential
-    /// tests).
-    pub trace_cache: bool,
     /// Arm the flight recorder on every activated run and diff it
     /// against a golden continuation of the same checkpoint (see
     /// [`divergence`]). Off by default; outcomes are bit-identical
@@ -94,7 +87,6 @@ impl Default for EngineOpts {
     fn default() -> EngineOpts {
         EngineOpts {
             block_cache: true,
-            trace_cache: true,
             flight_recorder: false,
             profiler: false,
             footprint: false,
@@ -113,7 +105,6 @@ impl EngineOpts {
 
     fn apply(self, p: &mut Process) {
         p.machine.set_block_engine(self.block_cache);
-        p.machine.set_trace_cache(self.trace_cache);
         if self.profiler {
             p.machine.enable_profiler();
         }
@@ -244,47 +235,17 @@ pub fn run_injection(
     target: &InjectionTarget,
     scheme: EncodingScheme,
 ) -> Result<InjectionRun, fisec_os::LoadError> {
-    run_injection_metered(image, client, golden, target, scheme).map(|(run, _, _)| run)
+    run_injection_recorded(image, client, golden, target, scheme, EngineOpts::default())
+        .map(|(run, ..)| run)
 }
 
-/// [`run_injection`] plus the run's execution metadata (icount, host
-/// time split by phase). The extra cost over the unmetered path is a
-/// handful of monotonic-clock reads.
-///
-/// # Errors
-/// Propagates [`fisec_os::LoadError`] if the image cannot be loaded.
-pub fn run_injection_metered(
-    image: &Image,
-    client: &ClientSpec,
-    golden: &GoldenRun,
-    target: &InjectionTarget,
-    scheme: EncodingScheme,
-) -> Result<(InjectionRun, RunMeta, GroupMeta), fisec_os::LoadError> {
-    run_injection_metered_opts(image, client, golden, target, scheme, EngineOpts::default())
-}
-
-/// [`run_injection_metered`] with explicit engine options.
-///
-/// # Errors
-/// Propagates [`fisec_os::LoadError`] if the image cannot be loaded.
-pub fn run_injection_metered_opts(
-    image: &Image,
-    client: &ClientSpec,
-    golden: &GoldenRun,
-    target: &InjectionTarget,
-    scheme: EncodingScheme,
-    engine: EngineOpts,
-) -> Result<(InjectionRun, RunMeta, GroupMeta), fisec_os::LoadError> {
-    run_injection_recorded(image, client, golden, target, scheme, engine)
-        .map(|(run, meta, group, _, _, _, _)| (run, meta, group))
-}
-
-/// [`run_injection_metered_opts`] plus the [`DivergenceReport`] of the
-/// run when `engine.flight_recorder` is on and the error activated,
-/// plus the run's [`ExecProfile`] when `engine.profiler` is on, plus
-/// the run's executed-code [`Footprint`] when `engine.footprint` is on,
-/// plus the run's [`PropagationReport`] when `engine.propagation` is on
-/// and the error activated. With the recorder on, the process is
+/// [`run_injection`] with explicit engine options, plus the run's
+/// execution metadata (icount, host time split by phase), plus the
+/// [`DivergenceReport`] of the run when `engine.flight_recorder` is on
+/// and the error activated, plus the run's [`ExecProfile`] when
+/// `engine.profiler` is on, plus the run's executed-code [`Footprint`]
+/// when `engine.footprint` is on, plus the run's [`PropagationReport`]
+/// when `engine.propagation` is on and the error activated. With the recorder on, the process is
 /// checkpointed at the breakpoint and resumed once *without* the flip
 /// (recorder armed) to capture the golden continuation, then restored
 /// and injected as usual — the injected run's outcome is bit-identical
@@ -472,27 +433,7 @@ pub fn run_injection_group(
     targets: &[InjectionTarget],
     scheme: EncodingScheme,
 ) -> Result<Vec<InjectionRun>, fisec_os::LoadError> {
-    run_injection_group_metered(image, client, golden, targets, scheme)
-        .map(|(runs, _)| runs.into_iter().map(|(run, _)| run).collect())
-}
-
-/// [`run_injection_group`] plus per-run and per-boot execution metadata
-/// for the telemetry layer. Results are bit-identical to the unmetered
-/// path; the only extra work is monotonic-clock reads around each phase.
-///
-/// # Errors
-/// Propagates [`fisec_os::LoadError`] if the image cannot be loaded.
-///
-/// # Panics
-/// If the targets do not all share one instruction address.
-pub fn run_injection_group_metered(
-    image: &Image,
-    client: &ClientSpec,
-    golden: &GoldenRun,
-    targets: &[InjectionTarget],
-    scheme: EncodingScheme,
-) -> Result<(Vec<(InjectionRun, RunMeta)>, GroupMeta), fisec_os::LoadError> {
-    run_injection_group_metered_opts(
+    run_injection_group_recorded(
         image,
         client,
         golden,
@@ -500,9 +441,11 @@ pub fn run_injection_group_metered(
         scheme,
         EngineOpts::default(),
     )
+    .map(|(runs, ..)| runs.into_iter().map(|(run, ..)| run).collect())
 }
 
-/// [`run_injection_group_metered`] with explicit engine options.
+/// [`run_injection_group`] with explicit engine options, plus per-run
+/// and per-boot execution metadata for the telemetry layer.
 ///
 /// # Errors
 /// Propagates [`fisec_os::LoadError`] if the image cannot be loaded.
@@ -631,9 +574,12 @@ pub enum Checkpoint<'a> {
 /// stops for any other reason, the addresses not yet reached are
 /// visited once, together, as [`Checkpoint::Unreached`].
 ///
-/// A fork keeps the harvester's decoded caches and observers
-/// (footprint, profile), so both cover the boot prefix as a fresh
-/// boot's would. `visit` also receives the harvester time since the
+/// A fork keeps the harvester's decoded caches and footprint, so the
+/// footprint covers the boot prefix as a fresh boot's would (the
+/// campaign cache keys on it). A fork's profile, when profiling is on,
+/// restarts empty: the harvester's own profile counts the shared prefix
+/// once, and reaches the visit for the last address or the unreached
+/// ones. `visit` also receives the harvester time since the
 /// previous visit returned, fork included: each checkpoint's share of
 /// the boot.
 ///
@@ -689,6 +635,9 @@ pub fn harvest_checkpoints(
         let mut fork = p.clone();
         fork.machine.clear_breakpoints();
         fork.machine.add_breakpoint(addr);
+        if fork.machine.profiler_enabled() {
+            fork.machine.enable_profiler();
+        }
         let checkpoint = Checkpoint::Reached {
             index,
             process: &mut fork,
@@ -716,7 +665,9 @@ pub fn harvest_checkpoints(
 /// (determinism) a fresh boot to its address would have stopped the
 /// same way: each of its runs gets the harvester's stop, client verdict
 /// and icount — the work a from-scratch run would have retired — and
-/// the group gets the harvester's final profile and footprint.
+/// the group gets the harvester's final footprint. The harvester's
+/// profile goes to the first unreached group only, so that summed over
+/// all groups the profiles count every retired instruction once.
 ///
 /// `on_group(i, result)` is called once per group `groups[i]`: in the
 /// order the breakpoints are reached, then the unreached groups in
@@ -780,7 +731,7 @@ pub fn harvest_groups(
                     run_micros: 0,
                     classify_micros: 0,
                 };
-                let profile = process.machine.take_exec_profile();
+                let mut profile = process.machine.take_exec_profile();
                 let footprint = process.machine.take_footprint();
                 let mut boot_micros = boot_micros;
                 for index in indices {
@@ -789,7 +740,7 @@ pub fn harvest_groups(
                         ..GroupMeta::default()
                     };
                     let runs = vec![(na.clone(), meta, None, None); groups[index].len()];
-                    on_group(index, (runs, group, profile.clone(), footprint.clone()));
+                    on_group(index, (runs, group, profile.take(), footprint.clone()));
                 }
             }
         },
@@ -906,12 +857,6 @@ fn decision_site(image: &Image, addr: u32) -> bool {
     };
     let end = (off + 16).min(image.text.len());
     fisec_x86::decode(&image.text[off..end]).is_control_transfer()
-}
-
-/// Convenience: is `trace` a plausible truncated prefix of `golden`?
-/// (Used for the transient-deviation analysis around crashes.)
-pub fn is_trace_prefix(trace: &Trace, golden: &Trace) -> bool {
-    classify::trace_is_prefix(trace, golden)
 }
 
 #[cfg(test)]

@@ -226,3 +226,44 @@ fn shared_harvest_matches_per_group_harvests_under_both_encodings() {
     }
     assert_eq!(groups, 2 * LIVE_GROUPS);
 }
+
+#[test]
+fn harvested_group_profiles_count_each_instruction_once() {
+    // Summed over one harvest's groups, the profiles must count the
+    // harvester's boot once plus every activated replay: forks restart
+    // the profile, and only one unreached group takes the harvester's.
+    let engine = EngineOpts {
+        profiler: true,
+        ..EngineOpts::default()
+    };
+    let app = AppSpec::ftpd();
+    let set = enumerate_targets(&app.image, &app.auth_funcs, false);
+    let c = &clients(&app, &set.targets)[0];
+    assert!(c.dead.len() >= 2, "two never-reached addresses to harvest");
+    for batch in [&c.live, &c.dead] {
+        let (mut profiled, mut replayed, mut harvester) = (0, 0, 0);
+        harvest_groups(
+            &app.image,
+            c.spec,
+            &c.golden,
+            batch,
+            EncodingScheme::Baseline,
+            engine,
+            |i, (runs, meta, profile, _)| {
+                profiled += profile.map_or(0, |p| p.total_retired());
+                if meta.activated {
+                    replayed += runs.iter().map(|(_, m, _, _)| m.icount).sum::<u64>();
+                    // The harvester parks at every reached checkpoint.
+                    let (fresh, _) = fresh_boot(&app, c.spec, &c.golden, batch[i][0].addr);
+                    harvester = harvester.max(fresh.icount());
+                } else {
+                    // An unreached group's run is the harvester's whole run.
+                    harvester = harvester.max(runs[0].1.icount);
+                }
+            },
+        )
+        .unwrap();
+        assert!(harvester > 0);
+        assert_eq!(profiled, harvester + replayed, "{} groups", batch.len());
+    }
+}

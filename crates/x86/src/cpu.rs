@@ -19,7 +19,6 @@ use crate::mem::Memory;
 use crate::profiler::ExecProfile;
 use crate::recorder::{edge_kind, Edge, EdgeKind, FlightRecorder, FlightTrace};
 use crate::taint::{PropagationLog, TaintTracer};
-use crate::trace::{SuperTrace, TraceCache, TraceRec, TraceStats, MAX_TRACE_BLOCKS};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -125,6 +124,19 @@ pub enum RunOutcome {
     Budget,
 }
 
+/// The counters of [`Machine::trace_stats`]: always zero, since the
+/// machine has no trace tier. Only the benchmark's cost ledger reads
+/// them; they go with the next change to the benchmark.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TraceStats {
+    /// Traces built (always 0).
+    pub built: u64,
+    /// Trace dispatches (always 0).
+    pub hits: u64,
+    /// Trace side exits (always 0).
+    pub side_exits: u64,
+}
+
 /// Retired-EIP coverage recorder: a dense bitmap — one bit per byte
 /// address — spanning the executable regions, plus a spill set for EIPs
 /// executed anywhere else (reachable only through rwx data regions or
@@ -187,9 +199,9 @@ impl Coverage {
 /// marks every retired EIP and is rewound by [`Machine::restore`]), the
 /// footprint is marked at *block-build* granularity — one range-OR when
 /// a basic block is decoded into the cache (the build is the first
-/// dispatch; `enable_footprint` flushes both tiers so nothing escapes),
-/// one per instruction on the per-step engine — and deliberately
-/// survives restores, so one footprint accumulates the
+/// dispatch; `enable_footprint` flushes the block cache so nothing
+/// escapes), one per instruction on the per-step engine — and
+/// deliberately survives restores, so one footprint accumulates the
 /// union over every replay of a checkpoint group. The campaign cache
 /// keys a group's memoized results on the image bytes inside this
 /// footprint: anything a run fetched can affect its outcome, anything
@@ -350,18 +362,6 @@ pub struct Machine {
     /// Dispatch through cached basic blocks (default). When false,
     /// [`Machine::run_until_event`] takes the reference per-step path.
     block_engine: bool,
-    /// Tier-2 superblock cache (see [`crate::trace`]): hot blocks
-    /// linked across taken branches, dispatched as one unit.
-    traces: TraceCache,
-    /// Promote hot blocks into tier-2 traces (default). Only meaningful
-    /// while the block engine is on.
-    trace_cache: bool,
-    /// Rolling branch-history signature mixed into trace keys. Purely a
-    /// cache-key ingredient — never observable in outcomes — so it is
-    /// not snapshot state (restore just resets it).
-    hist: u8,
-    /// In-progress trace recording, when a promotion is underway.
-    trace_rec: Option<TraceRec>,
     trace_buf: Vec<u32>,
     trace_cap: usize,
     trace_next: usize,
@@ -388,11 +388,10 @@ pub struct Machine {
 /// Holds everything needed to rewind a machine to an earlier point of
 /// the same execution: registers, a copy of the address space, the
 /// retired instruction count, armed breakpoints, the EIP trace ring, and
-/// the coverage set when enabled. The decoded caches (basic blocks and
-/// traces) are *not* part of the snapshot — they are pure performance
-/// artifacts; [`Machine::restore`] uses the executable-write journal to
-/// drop exactly the entries covering bytes that changed since the
-/// snapshot was taken.
+/// the coverage set when enabled. The block cache is *not* part of the
+/// snapshot — it is a pure performance artifact; [`Machine::restore`]
+/// uses the executable-write journal to drop exactly the entries
+/// covering bytes that changed since the snapshot was taken.
 #[derive(Debug, Clone)]
 pub struct MachineSnapshot {
     cpu: Cpu,
@@ -416,10 +415,6 @@ impl Machine {
             blocks: BlockCache::default(),
             blocks_gen: 0,
             block_engine: true,
-            traces: TraceCache::default(),
-            trace_cache: true,
-            hist: 0,
-            trace_rec: None,
             trace_buf: Vec::new(),
             trace_cap: 0,
             trace_next: 0,
@@ -455,38 +450,30 @@ impl Machine {
     /// one byte, run, restore, repeat), only the pages written since are
     /// copied back; otherwise the whole address space is.
     ///
-    /// The decoded caches survive the rewind wherever the executable-
-    /// write journal can prove they are still exact. When the snapshot
+    /// The block cache survives the rewind wherever the executable-
+    /// write journal can prove it is still exact. When the snapshot
     /// is an ancestor of the current state, the journal names every
-    /// byte written since it, and only blocks and traces covering those
-    /// bytes are dropped. A snapshot from an unrelated lineage drops
+    /// byte written since it, and only blocks covering those bytes are
+    /// dropped. A snapshot from an unrelated lineage drops
     /// everything. The decoder function itself is not snapshot state and
     /// is left untouched.
     pub fn restore(&mut self, snap: &MachineSnapshot) {
         let snap_gen = snap.mem.exec_gen();
         if self.mem.exec_log_extends(&snap.mem) {
-            // Invalidate from the oldest generation either cache could
+            // Invalidate from the oldest generation the cache could
             // still reflect: blocks were last synced at `blocks_gen`, and
             // the restore reverts every write after `snap_gen`.
             let from = self.blocks_gen.min(snap_gen);
             let dirty = self.mem.exec_writes_since(from);
             if !dirty.is_empty() {
                 self.blocks.invalidate_writes(dirty);
-                self.traces.invalidate_writes(dirty);
             }
         } else {
             // Restoring across lineages (or forward past unseen writes):
             // the byte diff cannot be attributed, drop everything.
             self.blocks.clear();
-            self.traces.clear();
         }
         self.blocks_gen = snap_gen;
-        // A recording in progress would stitch pre-rewind blocks onto
-        // whatever executes next; abort it. The branch-history signature
-        // restarts too, so every replay of a checkpoint group sees the
-        // same trace-key sequence.
-        self.trace_rec = None;
-        self.hist = 0;
         self.cpu = snap.cpu.clone();
         self.mem.restore_from(&snap.mem);
         self.icount = snap.icount;
@@ -537,11 +524,9 @@ impl Machine {
     /// executable regions mapped at this point).
     pub fn enable_footprint(&mut self) {
         // Marking happens when a block is *built* (see `build_block`):
-        // flush both tiers so everything dispatched from here on is
+        // flush the block cache so everything dispatched from here on is
         // (re)built — and therefore marked — while recording.
         self.blocks.clear();
-        self.traces.clear();
-        self.trace_rec = None;
         self.footprint = Some(Box::new(Footprint::new(&self.mem)));
     }
 
@@ -558,13 +543,10 @@ impl Machine {
 
     /// Replace the instruction decoder — e.g. with a decoder for the
     /// paper's re-encoded instruction set, turning this machine into the
-    /// "hypothetical processor" of §6.2. Clears the block and trace
-    /// caches.
+    /// "hypothetical processor" of §6.2. Clears the block cache.
     pub fn set_decoder(&mut self, decoder: fn(&[u8]) -> Inst) {
         self.decoder = decoder;
         self.blocks.clear();
-        self.traces.clear();
-        self.trace_rec = None;
     }
 
     /// Choose the execution engine for [`Machine::run_until_event`]:
@@ -575,8 +557,6 @@ impl Machine {
     pub fn set_block_engine(&mut self, enabled: bool) {
         if !enabled {
             self.blocks.clear();
-            self.traces.clear();
-            self.trace_rec = None;
         }
         self.block_engine = enabled;
     }
@@ -592,33 +572,11 @@ impl Machine {
         self.blocks.stats()
     }
 
-    /// Choose whether hot blocks are promoted into tier-2 superblock
-    /// traces (see [`crate::trace`]); on by default. Turning it off
-    /// drops every cached trace. Outcomes are bit-identical either way —
-    /// the flag exists as an escape hatch and for differential testing.
-    pub fn set_trace_cache(&mut self, enabled: bool) {
-        if !enabled {
-            self.traces.clear();
-            self.trace_rec = None;
-        }
-        self.trace_cache = enabled;
-    }
-
-    /// Whether tier-2 trace dispatch is enabled (see
-    /// [`Machine::set_trace_cache`]).
-    pub fn trace_cache(&self) -> bool {
-        self.trace_cache
-    }
-
-    /// Cumulative trace-cache counters.
+    /// Always zero: the machine has no trace tier. Kept only because
+    /// the benchmark's cost ledger (`perfbench`) still reads these
+    /// counters; it goes with the next change to the benchmark.
     pub fn trace_stats(&self) -> TraceStats {
-        self.traces.stats()
-    }
-
-    /// Lower (or raise) the tier-2 promotion threshold — tests use `1`
-    /// to form traces on the second dispatch of a block.
-    pub fn set_trace_threshold(&mut self, threshold: u16) {
-        self.traces.set_threshold(threshold);
+        TraceStats::default()
     }
 
     /// Record the EIP of every retired instruction into a ring buffer of
@@ -699,7 +657,7 @@ impl Machine {
 
     /// Does the propagation tracer need the instrumented path for the
     /// code range `[lo, hi)`? False whenever the shadow is empty and the
-    /// seed lies outside the range — those blocks/traces cannot touch
+    /// seed lies outside the range — those blocks cannot touch
     /// taint and stay on the fast path.
     #[inline]
     fn taint_wants(&self, lo: u32, hi: u64) -> bool {
@@ -727,10 +685,7 @@ impl Machine {
     /// outcomes, icounts and traces are bit-identical with it on or off.
     /// Unlike the flight recorder it survives [`Machine::restore`].
     pub fn enable_profiler(&mut self) {
-        self.profile = Some(Box::new(ExecProfile::begin(
-            self.blocks.stats(),
-            self.traces.stats(),
-        )));
+        self.profile = Some(Box::new(ExecProfile::begin(self.blocks.stats())));
     }
 
     /// Whether the hot-spot profiler is collecting.
@@ -743,9 +698,8 @@ impl Machine {
     /// `None` when profiling was never enabled.
     pub fn take_exec_profile(&mut self) -> Option<ExecProfile> {
         let stats = self.blocks.stats();
-        let tstats = self.traces.stats();
         self.profile.take().map(|mut p| {
-            p.seal(stats, tstats);
+            p.seal(stats);
             *p
         })
     }
@@ -813,16 +767,6 @@ impl Machine {
         self.breakpoints.get(i).is_some_and(|&b| (b as u64) < end)
     }
 
-    /// Is a breakpoint armed anywhere in `[lo, hi)`? Unlike
-    /// [`Machine::breakpoint_inside`] this includes `lo` itself: only
-    /// the trace's first block had its entry cleared by the dispatch
-    /// loop's pre-check, and a linked successor may start *below* that
-    /// entry, so the whole footprint is screened inclusively.
-    fn breakpoint_in_range(&self, lo: u32, hi: u64) -> bool {
-        let i = self.breakpoints.partition_point(|&b| b < lo);
-        self.breakpoints.get(i).is_some_and(|&b| (b as u64) < hi)
-    }
-
     /// Run until a breakpoint, syscall, fault, or `max_steps` instructions.
     ///
     /// Dispatches cached basic blocks (see [`crate::block`]) unless the
@@ -862,49 +806,16 @@ impl Machine {
     /// block, the budget expiring mid-block, or an instruction that reads
     /// the live icount (`rdtsc`) — so every outcome matches
     /// [`Machine::run_stepwise`] exactly.
-    ///
-    /// On top of that sits tier 2 (see [`crate::trace`]): re-dispatched
-    /// blocks heat up and get recorded, together with their observed
-    /// successors across taken branches, into superblock traces replayed
-    /// as one dispatch. A trace is taken only when its full retirement
-    /// fits the remaining budget and no breakpoint lies anywhere in its
-    /// footprint, so every precise-stop obligation is met by declining
-    /// the trace, not by stopping inside one.
     fn run_blocks(&mut self, max_steps: u64) -> RunOutcome {
         self.sync_blocks();
         let mut steps = 0u64;
         loop {
             let eip = self.cpu.eip;
             if self.at_breakpoint(eip) {
-                self.finish_trace_rec();
                 return RunOutcome::Breakpoint(eip);
             }
             if steps >= max_steps {
-                self.finish_trace_rec();
                 return RunOutcome::Budget;
-            }
-            // Tier-2 dispatch. Heat only accumulates on a genuine miss:
-            // a resident trace declined for budget/breakpoint reasons
-            // must not re-record, and record mode itself runs tier 1.
-            let mut trace_missed = self.trace_cache && self.trace_rec.is_none();
-            if trace_missed {
-                if let Some(t) = self.traces.get(eip, self.hist) {
-                    trace_missed = false;
-                    // Like breakpoints, live taint declines the trace
-                    // rather than observing inside one: a taken trace is
-                    // thereby provably taint-free (shadow empty, seed
-                    // outside its footprint), so tier-2 replay needs no
-                    // hooks at all.
-                    if t.total_insts <= max_steps - steps
-                        && !self.breakpoint_in_range(t.lo, t.hi)
-                        && !self.taint_wants(t.lo, t.hi)
-                    {
-                        if let Some(out) = self.exec_trace(&t, &mut steps) {
-                            return out;
-                        }
-                        continue;
-                    }
-                }
             }
             let block = match self.blocks.get(eip) {
                 Some(b) => b,
@@ -913,7 +824,6 @@ impl Machine {
                     // Entry fetch fault: same as step()'s fetch_decode
                     // failure (no icount, no coverage mark).
                     Err(f) => {
-                        self.finish_trace_rec();
                         if self.recorder.is_some() {
                             self.record_edge(EdgeKind::Fault, eip, 0, self.icount);
                         }
@@ -925,9 +835,6 @@ impl Machine {
                 || (block.insts.len() as u64) > max_steps - steps
                 || self.breakpoint_inside(block.entry, block.end)
             {
-                // Single-step fallback breaks the block-at-a-time shape
-                // a trace replays; end any recording at this seam.
-                self.finish_trace_rec();
                 steps += 1;
                 match self.step() {
                     StepEvent::Executed => continue,
@@ -935,22 +842,12 @@ impl Machine {
                     StepEvent::Fault(f) => return RunOutcome::Fault(f),
                 }
             }
-            if trace_missed && self.traces.heat_up(eip, self.hist) {
-                // Promoted: record this dispatch and its successors.
-                self.trace_rec = Some(TraceRec {
-                    entry: eip,
-                    hist: self.hist,
-                    blocks: Vec::new(),
-                    total: 0,
-                });
-            }
             let fast = !block.writes
                 && self.coverage.is_none()
                 && self.trace_cap == 0
                 && self.recorder.is_none()
                 && self.profile.is_none()
                 && !self.taint_wants(block.entry, block.end);
-            let mut resident = false;
             loop {
                 let gen = self.mem.exec_gen();
                 let (executed, event) = if fast {
@@ -977,124 +874,14 @@ impl Machine {
                             && steps + block.insts.len() as u64 <= max_steps
                             && self.mem.exec_gen() == gen
                         {
-                            resident = true;
                             self.blocks.note_resident_hit();
                             continue;
                         }
-                        let clean =
-                            executed == block.insts.len() as u64 && self.mem.exec_gen() == gen;
-                        self.trace_append(&block, clean, resident);
-                        self.hist = hist_step(self.hist, self.cpu.eip);
                         break;
                     }
-                    StepEvent::Syscall(n) => {
-                        // A syscall terminator retires the whole block
-                        // cleanly, so the recording stays alive: traces
-                        // span syscalls, resuming at the return address
-                        // on the next run. (Staleness across the pause
-                        // is covered by sync_blocks aborting recordings
-                        // on any generation change.)
-                        let clean = executed == block.insts.len() as u64;
-                        self.trace_append(&block, clean, resident);
-                        self.hist = hist_step(self.hist, self.cpu.eip);
-                        return RunOutcome::Syscall(n);
-                    }
-                    StepEvent::Fault(f) => {
-                        self.finish_trace_rec();
-                        return RunOutcome::Fault(f);
-                    }
+                    StepEvent::Syscall(n) => return RunOutcome::Syscall(n),
+                    StepEvent::Fault(f) => return RunOutcome::Fault(f),
                 }
-            }
-        }
-    }
-
-    /// Replay a tier-2 trace: execute its linked blocks back-to-back,
-    /// guarding each edge by comparing the live EIP against the next
-    /// block's recorded entry. Returns the terminal outcome, or `None`
-    /// when the dispatch loop should continue (full completion, a
-    /// mispredicted guard, or a self-modification boundary — in each
-    /// case everything retired so far is exactly what tier 1 would have
-    /// retired).
-    fn exec_trace(&mut self, t: &SuperTrace, steps: &mut u64) -> Option<RunOutcome> {
-        let fast = self.coverage.is_none()
-            && self.trace_cap == 0
-            && self.recorder.is_none()
-            && self.profile.is_none();
-        let mut retired = 0u64;
-        for (i, block) in t.blocks.iter().enumerate() {
-            if i > 0 && self.cpu.eip != block.entry {
-                // Guard mispredicted: side-exit to tier 1. The previous
-                // block already stepped the history with the divergent
-                // target, so re-dispatch sees a coherent key.
-                self.traces.note_side_exit();
-                return None;
-            }
-            let gen = self.mem.exec_gen();
-            let (executed, event) = if fast && !block.writes {
-                self.exec_block_fast(block)
-            } else {
-                self.exec_block(block)
-            };
-            *steps += executed;
-            retired += executed;
-            if let Some(p) = &mut self.profile {
-                p.note_block(block.entry, executed);
-            }
-            match event {
-                StepEvent::Executed => {
-                    self.hist = hist_step(self.hist, self.cpu.eip);
-                    if executed != block.insts.len() as u64 || self.mem.exec_gen() != gen {
-                        // The block self-modified: exec_block already
-                        // stopped at the write boundary and resynced the
-                        // caches (dropping stale traces); side-exit.
-                        self.traces.note_side_exit();
-                        return None;
-                    }
-                }
-                StepEvent::Syscall(n) => {
-                    self.hist = hist_step(self.hist, self.cpu.eip);
-                    if let Some(p) = &mut self.profile {
-                        p.note_trace(t.entry, retired);
-                    }
-                    return Some(RunOutcome::Syscall(n));
-                }
-                StepEvent::Fault(f) => return Some(RunOutcome::Fault(f)),
-            }
-        }
-        if let Some(p) = &mut self.profile {
-            p.note_trace(t.entry, retired);
-        }
-        None
-    }
-
-    /// Append a cleanly completed block to the in-progress trace
-    /// recording (if any), finalizing at the length bound. Non-clean
-    /// completions (a mid-block self-modification stop) and
-    /// resident-looped blocks end the recording instead: neither shape
-    /// replays under a trace's one-pass-per-block guards.
-    fn trace_append(&mut self, block: &Arc<Block>, clean: bool, resident: bool) {
-        let Some(rec) = &mut self.trace_rec else {
-            return;
-        };
-        if !clean || resident {
-            self.finish_trace_rec();
-            return;
-        }
-        rec.total += block.insts.len() as u64;
-        rec.blocks.push(Arc::clone(block));
-        if rec.blocks.len() >= MAX_TRACE_BLOCKS {
-            self.finish_trace_rec();
-        }
-    }
-
-    /// End any in-progress trace recording: recordings that linked at
-    /// least two blocks are inserted, shorter ones are dropped (tier 1
-    /// already dispatches single blocks, and its resident-loop path
-    /// covers the self-looping ones).
-    fn finish_trace_rec(&mut self) {
-        if let Some(rec) = self.trace_rec.take() {
-            if rec.blocks.len() >= 2 {
-                self.traces.insert(rec);
             }
         }
     }
@@ -1110,16 +897,11 @@ impl Machine {
         if gen > self.blocks_gen {
             let dirty = self.mem.exec_writes_since(self.blocks_gen);
             self.blocks.invalidate_writes(dirty);
-            self.traces.invalidate_writes(dirty);
         } else {
             // Generation moved backwards outside restore(): the diff
             // cannot be attributed, drop everything.
             self.blocks.clear();
-            self.traces.clear();
         }
-        // Any recording in progress may hold a just-staled block; the
-        // write seam ends it.
-        self.trace_rec = None;
         self.blocks_gen = gen;
     }
 
@@ -1173,7 +955,7 @@ impl Machine {
         });
         if let Some(fp) = &mut self.footprint {
             // One range-OR per block *build* covers every later dispatch
-            // of it: `enable_footprint` flushed both tiers, so anything
+            // of it: `enable_footprint` flushed the block cache, so anything
             // dispatched while recording was built while recording
             // (invalidation and LRU eviction only cause idempotent
             // re-marks). The whole block is marked even when execution
@@ -1400,7 +1182,7 @@ impl Machine {
     }
 
     /// Fetch and decode the instruction at `eip` from the current bytes.
-    /// Uncached: the block and trace caches are the decode caches.
+    /// Uncached: the block cache is the decode cache.
     fn fetch_decode(&self, eip: u32) -> Result<Inst, Fault> {
         let (window, n) = self.mem.fetch_window(eip)?;
         Ok((self.decoder)(&window[..n]))
@@ -2367,14 +2149,6 @@ pub(crate) enum Flow {
     Next,
     Jump(u32),
     Syscall(u8),
-}
-
-/// Advance the rolling branch-history signature with the next dispatch
-/// address (a cheap shift-xor — only trace-key quality depends on it,
-/// never an outcome).
-#[inline]
-fn hist_step(h: u8, eip: u32) -> u8 {
-    (h << 1) ^ ((eip >> 2) as u8)
 }
 
 /// 32-bit ALU step shared by the lowered `AluRR`/`AluRI`/`AluMI` forms:

@@ -47,10 +47,9 @@ pub mod mem;
 pub mod profiler;
 pub mod recorder;
 pub mod taint;
-pub mod trace;
 
 pub use block::{Block, BlockStats};
-pub use cpu::{Cpu, Footprint, Machine, MachineSnapshot, RunOutcome, StepEvent};
+pub use cpu::{Cpu, Footprint, Machine, MachineSnapshot, RunOutcome, StepEvent, TraceStats};
 pub use decode::decode;
 pub use disasm::{disassemble, fmt_att, DisasmLine};
 pub use encode::encode;
@@ -62,7 +61,6 @@ pub use mem::{Memory, Perms, Region};
 pub use profiler::{op_shape, BlockTally, ExecProfile, SlowSite};
 pub use recorder::{Edge, EdgeKind, FlightTrace};
 pub use taint::{PropEvent, PropKind, PropagationLog, TaintTracer, DEFAULT_TAINT_HORIZON};
-pub use trace::{SuperTrace, TraceStats};
 
 /// EFLAGS bit positions used by the interpreter.
 pub mod eflags {

@@ -2,7 +2,8 @@
 //! per-step reference interpreter, and the cache-invalidation edges the
 //! injection campaign exercises — poking inside a cached block, poking
 //! at a block boundary, restores that rewind the executable generation,
-//! and self-modifying text.
+//! and self-modifying text — plus breakpoints and syscall stops inside
+//! multi-block loops.
 
 use fisec_x86::{EdgeKind, FlightTrace, Machine, Memory, Perms, Reg32, Region, RunOutcome};
 
@@ -22,18 +23,25 @@ fn machine(text: Vec<u8>) -> Machine {
     m
 }
 
-/// Run `text` to completion under both engines and assert identical
-/// outcome, icount, registers, flags and EIP.
-fn assert_engines_agree(text: Vec<u8>, budget: u64) -> RunOutcome {
+/// Run `text` to completion under both engines, resuming after every
+/// syscall stop, and assert identical outcome, icount, registers, flags
+/// and EIP at each stop. Returns the stops, the final one last.
+fn assert_engines_agree(text: Vec<u8>, budget: u64) -> Vec<RunOutcome> {
     let mut blk = machine(text.clone());
     let mut stp = machine(text);
     stp.set_block_engine(false);
-    let a = blk.run_until_event(budget);
-    let b = stp.run_until_event(budget);
-    assert_eq!(a, b, "outcomes diverged");
-    assert_eq!(blk.icount, stp.icount, "icount diverged");
-    assert_eq!(blk.cpu, stp.cpu, "architectural state diverged");
-    a
+    let mut stops = Vec::new();
+    loop {
+        let a = blk.run_until_event(budget);
+        let b = stp.run_until_event(budget);
+        assert_eq!(a, b, "outcomes diverged at stop {}", stops.len());
+        assert_eq!(blk.icount, stp.icount, "icount diverged");
+        assert_eq!(blk.cpu, stp.cpu, "architectural state diverged");
+        stops.push(a);
+        if !matches!(a, RunOutcome::Syscall(_)) {
+            return stops;
+        }
+    }
 }
 
 // A loop the cache loves: mov ecx, 5; inc eax; dec ecx; jnz -4; jmp $.
@@ -41,12 +49,48 @@ fn counted_loop() -> Vec<u8> {
     vec![0xB9, 5, 0, 0, 0, 0x40, 0x49, 0x75, 0xFC, 0xEB, 0xFE]
 }
 
+// A loop whose body spans two blocks via a taken branch.
+//   0x1000  mov ecx, 21
+//   0x1005  inc eax          <- L1
+//   0x1006  jmp 0x1009
+//   0x1008  nop              (never executed)
+//   0x1009  dec ecx          <- L2
+//   0x100A  jnz L1
+//   0x100C  jmp $
+fn two_block_loop() -> Vec<u8> {
+    vec![
+        0xB9, 21, 0, 0, 0, 0x40, 0xEB, 0x01, 0x90, 0x49, 0x75, 0xF9, 0xEB, 0xFE,
+    ]
+}
+
 #[test]
 fn engines_agree_on_straight_line_and_loops() {
     assert_engines_agree(vec![0x40; 10], 1000); // falls off text: fault
     assert_engines_agree(counted_loop(), 1000); // budget in jmp $
-                                                // div-by-zero fault mid-block: xor edx,edx; xor ecx,ecx; div ecx.
+    assert_engines_agree(two_block_loop(), 1000);
+    // div-by-zero fault mid-block: xor edx,edx; xor ecx,ecx; div ecx.
     assert_engines_agree(vec![0x31, 0xD2, 0x31, 0xC9, 0xF7, 0xF1], 1000);
+}
+
+#[test]
+fn syscalls_inside_a_loop_body_surface_and_resume() {
+    // A loop with an `int 0x80` in its body: every syscall stop surfaces
+    // precisely and execution resumes at the return address.
+    //   0x1000  mov ecx, 8
+    //   0x1005  mov eax, 4       <- L1
+    //   0x100A  int 0x80
+    //   0x100C  dec ecx
+    //   0x100D  jnz L1
+    //   0x100F  jmp $
+    let stops = assert_engines_agree(
+        vec![
+            0xB9, 8, 0, 0, 0, 0xB8, 4, 0, 0, 0, 0xCD, 0x80, 0x49, 0x75, 0xF6, 0xEB, 0xFE,
+        ],
+        1000,
+    );
+    assert_eq!(stops.len(), 9, "every int 0x80 surfaced: {stops:?}");
+    assert_eq!(stops[0], RunOutcome::Syscall(0x80));
+    assert_eq!(stops[8], RunOutcome::Budget);
 }
 
 #[test]
@@ -71,6 +115,28 @@ fn breakpoint_mid_block_pauses_precisely() {
     assert_eq!(m.run_until_event(1000), RunOutcome::Breakpoint(TEXT + 4));
     assert_eq!(m.cpu.eip, TEXT + 4);
     assert_eq!(m.cpu.regs[Reg32::Eax as usize], 10 + 4);
+}
+
+#[test]
+fn breakpoint_at_a_later_block_of_a_primed_loop_pauses_exactly() {
+    // Prime the cache over the whole two-block loop, rewind, and arm a
+    // breakpoint at the entry of its *second* block: dispatch stops
+    // exactly where the reference stops.
+    let mut m = machine(two_block_loop());
+    assert_eq!(m.run_until_event(1000), RunOutcome::Budget);
+    m.cpu.eip = TEXT;
+    m.cpu.regs = [0; 8];
+    m.cpu.regs[Reg32::Esp as usize] = 0x9000;
+    m.add_breakpoint(TEXT + 9);
+    assert_eq!(m.run_until_event(1000), RunOutcome::Breakpoint(TEXT + 9));
+    let mut reference = machine(two_block_loop());
+    reference.set_block_engine(false);
+    reference.add_breakpoint(TEXT + 9);
+    assert_eq!(
+        reference.run_until_event(1000),
+        RunOutcome::Breakpoint(TEXT + 9)
+    );
+    assert_eq!(m.cpu, reference.cpu, "must stop with identical state");
 }
 
 #[test]
@@ -163,6 +229,24 @@ fn restore_rewinding_generation_invalidates_only_poked_blocks() {
     assert_eq!(m.cpu.regs[Reg32::Ecx as usize], 0);
 }
 
+/// Run rwx `text` under both engines for `budget` instructions and
+/// assert identical outcome, icount and state; returns the block-engine
+/// machine.
+fn assert_rwx_engines_agree(text: Vec<u8>, budget: u64) -> Machine {
+    let mut mem = Memory::new();
+    mem.map(Region::with_data("text", TEXT, text, Perms::RWX))
+        .unwrap();
+    let mut blk = Machine::new(mem.clone());
+    blk.cpu.eip = TEXT;
+    let mut stp = Machine::new(mem);
+    stp.cpu.eip = TEXT;
+    stp.set_block_engine(false);
+    assert_eq!(blk.run_until_event(budget), stp.run_until_event(budget));
+    assert_eq!(blk.icount, stp.icount);
+    assert_eq!(blk.cpu, stp.cpu);
+    blk
+}
+
 #[test]
 fn self_modifying_rwx_text_agrees_with_stepwise() {
     // mov byte [0x1008], 0x41 patches the later `inc eax` into `inc
@@ -171,22 +255,48 @@ fn self_modifying_rwx_text_agrees_with_stepwise() {
     // 0x1007: 90                     nop
     // 0x1008: 40                     inc eax  <- patched before it retires
     // 0x1009: EB FE                  jmp $
-    let text = vec![
-        0xC6, 0x05, 0x08, 0x10, 0x00, 0x00, 0x41, 0x90, 0x40, 0xEB, 0xFE,
-    ];
-    let mut mem = Memory::new();
-    mem.map(Region::with_data("text", TEXT, text.clone(), Perms::RWX))
-        .unwrap();
-    let mut blk = Machine::new(mem.clone());
-    blk.cpu.eip = TEXT;
-    let mut stp = Machine::new(mem);
-    stp.cpu.eip = TEXT;
-    stp.set_block_engine(false);
-    assert_eq!(blk.run_until_event(50), stp.run_until_event(50));
-    assert_eq!(blk.icount, stp.icount);
-    assert_eq!(blk.cpu, stp.cpu);
+    let blk = assert_rwx_engines_agree(
+        vec![
+            0xC6, 0x05, 0x08, 0x10, 0x00, 0x00, 0x41, 0x90, 0x40, 0xEB, 0xFE,
+        ],
+        50,
+    );
     assert_eq!(blk.cpu.regs[Reg32::Ecx as usize], 1, "patched inc ran");
     assert_eq!(blk.cpu.regs[Reg32::Eax as usize], 0);
+}
+
+#[test]
+fn self_modifying_store_mid_loop_agrees_with_stepwise() {
+    // A loop that patches its own body once ecx reaches 2, after the
+    // unpatched blocks have been dispatched from the cache:
+    //   0x1000  mov ecx, 6
+    //   0x1005  inc eax                    <- L1 (patched to nop later)
+    //   0x1006  cmp ecx, 2
+    //   0x1009  jne 0x1012
+    //   0x100B  mov byte [0x1005], 0x90    ; inc eax -> nop
+    //   0x1012  dec ecx                    <- L2
+    //   0x1013  jnz L1
+    //   0x1015  jmp $
+    let blk = assert_rwx_engines_agree(
+        vec![
+            0xB9, 6, 0, 0, 0,    // mov ecx, 6
+            0x40, // inc eax
+            0x83, 0xF9, 0x02, // cmp ecx, 2
+            0x75, 0x07, // jne +7
+            0xC6, 0x05, 0x05, 0x10, 0x00, 0x00, 0x90, // mov byte [0x1005], 0x90
+            0x49, // dec ecx
+            0x75, 0xF0, // jnz -16
+            0xEB, 0xFE, // jmp $
+        ],
+        200,
+    );
+    // Five incs retire before the patch lands, the sixth iteration runs
+    // the nop: the write was observed mid-loop, not deferred.
+    assert_eq!(blk.cpu.regs[Reg32::Eax as usize], 5);
+    assert!(
+        blk.block_stats().invalidated >= 1,
+        "the store killed a block"
+    );
 }
 
 #[test]

@@ -69,92 +69,20 @@ proptest! {
         text in proptest::collection::vec(any::<u8>(), 32..256),
         budget in 1u64..2000,
     ) {
-        let build = |text: &[u8]| {
-            let mut mem = Memory::new();
-            mem.map(Region::with_data("text", 0x1000, text.to_vec(), Perms::RX)).unwrap();
-            mem.map(Region::zeroed("stack", 0x8000, 0x2000, Perms::RW)).unwrap();
-            let mut m = Machine::new(mem);
-            m.cpu.eip = 0x1000;
-            m.cpu.regs[Reg32::Esp as usize] = 0x9FF0;
-            m.enable_coverage();
-            m.enable_eip_trace(8);
-            m
-        };
-        let mut blk = build(&text);
-        let mut stp = build(&text);
-        stp.set_block_engine(false);
-        let a = blk.run_until_event(budget);
-        let b = stp.run_until_event(budget);
-        prop_assert_eq!(a, b);
-        prop_assert_eq!(blk.icount, stp.icount);
-        prop_assert_eq!(&blk.cpu, &stp.cpu);
-        prop_assert_eq!(blk.coverage(), stp.coverage());
-        prop_assert_eq!(blk.eip_trace(), stp.eip_trace());
+        assert_block_matches_step(&text, budget, true)?;
     }
 
-    /// The tier-2 trace engine (hot promotion threshold, superblocks
-    /// linked across the loop's taken branches) retires bit-identically
-    /// to the per-step reference on generated counted loops whose
-    /// bodies draw from the lowered µop set (inc/dec/alu-imm, imul,
-    /// cdq). Arbitrary budgets land side-exits at every offset.
+    /// Byte soup rarely loops, so the same property also runs over
+    /// generated two-block counted loops (see [`counted_loop`]) whose
+    /// arbitrary budget lands the stop at every offset of either block.
     #[test]
-    fn trace_engine_matches_stepwise_on_generated_loops(
+    fn block_engine_matches_stepwise_on_generated_loops(
         iters in 1u32..40,
         body_a in proptest::collection::vec((0u8..10, any::<u8>()), 0..8),
         body_b in proptest::collection::vec((0u8..10, any::<u8>()), 0..8),
         budget in 1u64..3000,
     ) {
-        let emit = |text: &mut Vec<u8>, body: &[(u8, u8)]| {
-            for &(op, imm) in body {
-                match op {
-                    0 => text.push(0x40),                      // inc eax
-                    1 => text.push(0x43),                      // inc ebx
-                    2 => text.push(0x4A),                      // dec edx
-                    3 => text.extend([0x83, 0xC0, imm]),       // add eax, imm8
-                    4 => text.extend([0x83, 0xF3, imm]),       // xor ebx, imm8
-                    5 => text.extend([0x83, 0xF8, imm]),       // cmp eax, imm8
-                    6 => text.push(0x90),                      // nop
-                    7 => text.extend([0x0F, 0xAF, 0xC3]),      // imul eax, ebx
-                    8 => text.push(0x99),                      // cdq
-                    _ => text.extend([0x6B, 0xC3, imm]),       // imul eax, ebx, imm8
-                }
-            }
-        };
-        // mov ecx, iters; L1: bodyA; jmp L2; nop; L2: bodyB; dec ecx;
-        // jnz L1; jmp $ — two blocks per iteration, linked by a taken
-        // jmp, closed by a taken jnz.
-        let mut text = vec![0xB9];
-        text.extend(iters.to_le_bytes());
-        let l1 = text.len();
-        emit(&mut text, &body_a);
-        text.extend([0xEB, 0x01, 0x90]);
-        emit(&mut text, &body_b);
-        text.push(0x49); // dec ecx
-        let disp = -((text.len() + 2 - l1) as i8 as i32) as u8;
-        text.extend([0x75, disp, 0xEB, 0xFE]);
-
-        let build = |text: &[u8]| {
-            let mut mem = Memory::new();
-            mem.map(Region::with_data("text", 0x1000, text.to_vec(), Perms::RX)).unwrap();
-            mem.map(Region::zeroed("stack", 0x8000, 0x2000, Perms::RW)).unwrap();
-            let mut m = Machine::new(mem);
-            m.cpu.eip = 0x1000;
-            m.cpu.regs[Reg32::Esp as usize] = 0x9FF0;
-            m
-        };
-        let mut hot = build(&text);
-        hot.set_trace_threshold(1);
-        let mut stp = build(&text);
-        stp.set_block_engine(false);
-        let a = hot.run_until_event(budget);
-        let b = stp.run_until_event(budget);
-        prop_assert_eq!(a, b);
-        prop_assert_eq!(hot.icount, stp.icount);
-        prop_assert_eq!(&hot.cpu, &stp.cpu);
-        if iters >= 16 && budget >= 2000 {
-            let s = hot.trace_stats();
-            prop_assert!(s.built >= 1, "hot loop never promoted: {:?}", s);
-        }
+        assert_block_matches_step(&counted_loop(iters, &body_a, &body_b), budget, false)?;
     }
 
     /// A clean (non-injected) run never births taint: with the tracer
@@ -206,6 +134,77 @@ proptest! {
             | fisec_x86::eflags::RESERVED1;
         prop_assert_eq!(m.cpu.eflags & !allowed, 0, "eflags {:#x}", m.cpu.eflags);
     }
+}
+
+/// Run `text` at 0x1000 for `budget` instructions on the block engine
+/// and on the per-step reference, and require identical outcomes,
+/// icounts and registers — plus identical coverage sets and EIP trace
+/// rings when `observed` (which keeps the block engine off its
+/// unobserved fast path).
+fn assert_block_matches_step(
+    text: &[u8],
+    budget: u64,
+    observed: bool,
+) -> Result<(), TestCaseError> {
+    let build = |text: &[u8]| {
+        let mut mem = Memory::new();
+        mem.map(Region::with_data("text", 0x1000, text.to_vec(), Perms::RX))
+            .unwrap();
+        mem.map(Region::zeroed("stack", 0x8000, 0x2000, Perms::RW))
+            .unwrap();
+        let mut m = Machine::new(mem);
+        m.cpu.eip = 0x1000;
+        m.cpu.regs[Reg32::Esp as usize] = 0x9FF0;
+        if observed {
+            m.enable_coverage();
+            m.enable_eip_trace(8);
+        }
+        m
+    };
+    let mut blk = build(text);
+    let mut stp = build(text);
+    stp.set_block_engine(false);
+    let a = blk.run_until_event(budget);
+    let b = stp.run_until_event(budget);
+    prop_assert_eq!(a, b);
+    prop_assert_eq!(blk.icount, stp.icount);
+    prop_assert_eq!(&blk.cpu, &stp.cpu);
+    prop_assert_eq!(blk.coverage(), stp.coverage());
+    prop_assert_eq!(blk.eip_trace(), stp.eip_trace());
+    Ok(())
+}
+
+/// `mov ecx, iters; L1: body_a; jmp L2; nop; L2: body_b; dec ecx;
+/// jnz L1; jmp $` — two blocks per iteration, linked by a taken `jmp`
+/// and closed by a taken `jnz`, with bodies drawn from the lowered µop
+/// set (inc/dec, alu-imm, `imul`, `cdq`).
+fn counted_loop(iters: u32, body_a: &[(u8, u8)], body_b: &[(u8, u8)]) -> Vec<u8> {
+    let emit = |text: &mut Vec<u8>, body: &[(u8, u8)]| {
+        for &(op, imm) in body {
+            match op {
+                0 => text.push(0x40),                 // inc eax
+                1 => text.push(0x43),                 // inc ebx
+                2 => text.push(0x4A),                 // dec edx
+                3 => text.extend([0x83, 0xC0, imm]),  // add eax, imm8
+                4 => text.extend([0x83, 0xF3, imm]),  // xor ebx, imm8
+                5 => text.extend([0x83, 0xF8, imm]),  // cmp eax, imm8
+                6 => text.push(0x90),                 // nop
+                7 => text.extend([0x0F, 0xAF, 0xC3]), // imul eax, ebx
+                8 => text.push(0x99),                 // cdq
+                _ => text.extend([0x6B, 0xC3, imm]),  // imul eax, ebx, imm8
+            }
+        }
+    };
+    let mut text = vec![0xB9];
+    text.extend(iters.to_le_bytes());
+    let l1 = text.len();
+    emit(&mut text, body_a);
+    text.extend([0xEB, 0x01, 0x90]);
+    emit(&mut text, body_b);
+    text.push(0x49); // dec ecx
+    let disp = -((text.len() + 2 - l1) as i8 as i32) as u8;
+    text.extend([0x75, disp, 0xEB, 0xFE]);
+    text
 }
 
 /// Strategy over the encodable instruction space.
